@@ -11,10 +11,12 @@ validation embedded in the run is invalid, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
@@ -59,10 +61,16 @@ def worker_count() -> int:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # one temp name per process and thread, so concurrent runs never share it
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path: str, obj) -> None:
@@ -79,7 +87,8 @@ def _write_csv(path: str, header: List[str], rows: List[List]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _apply_config(args: argparse.Namespace, allowed: Dict[str, type]) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
+    """Override flags from --config, with the flags' own types and choices."""
     if not getattr(args, "config", None):
         return
     try:
@@ -88,14 +97,22 @@ def _apply_config(args: argparse.Namespace, allowed: Dict[str, type]) -> None:
         raise ConfigParse(f"cannot parse config file {args.config}: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigParse(f"config file {args.config} must hold a JSON object")
+    fields = {
+        a.dest: (bool if a.nargs == 0 else a.type or str, a.choices)
+        for a in args._parser._actions
+        if a.dest not in ("help", "config")
+    }
+    fields.setdefault("seed", (int, None))  # accepted by every subcommand
     for key, value in overrides.items():
-        if key not in allowed:
+        if key not in fields:
             raise ConfigParse(f"unknown config key: {key}")
-        want = allowed[key]
-        if want is float and isinstance(value, int):
+        want, choices = fields[key]
+        if want is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        if want is not None and not isinstance(value, want):
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ConfigParse(f"config key {key} expects {want.__name__}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise ConfigParse(f"config key {key} must be one of {list(choices)}, got {value!r}")
         setattr(args, key, value)
 
 
@@ -318,9 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="helson-lab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--out", default="helson-lab-out", help="output directory")
         p.add_argument("--config", default=None, help="JSON file overriding flags")
+        p.set_defaults(func=func, _parser=p)
 
     p = sub.add_parser("mela", help="minimal-tv moment measure")
     p.add_argument("--epsilon", type=float, default=0.1353)
@@ -328,25 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--sweep", nargs="?", const=_SWEEP_DEFAULT, default=None,
                    help="comma list of epsilons; emits CSV")
-    common(p)
-    p.set_defaults(func=_cmd_mela, _types={"epsilon": float, "grid": int, "kmax": int, "sweep": str})
+    common(p, _cmd_mela)
 
     p = sub.add_parser("drury", help="mixed near-indicator on Z^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sigma", default=None, help="mixing measure JSON (default: solve)")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_drury, _types={"n": int, "epsilon": float, "sigma": str, "seed": int})
+    common(p, _cmd_drury)
 
     p = sub.add_parser("helson-constant", help="upper estimate of the Helson constant")
     p.add_argument("--K", required=True, help="frequency set JSON")
     p.add_argument("--grange", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_helson_constant,
-                   _types={"K": str, "grange": int, "restarts": int, "seed": int})
+    common(p, _cmd_helson_constant)
 
     p = sub.add_parser("projector", help="near-indicator series and growth table")
     p.add_argument("--K", required=True, help="target frequency set JSON")
@@ -354,18 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="2,4,8")
     p.add_argument("--degree", type=int, default=128)
     p.add_argument("--kterms", type=int, default=3)
-    common(p)
-    p.set_defaults(func=_cmd_projector,
-                   _types={"K": str, "F": str, "p": str, "degree": int, "kterms": int})
+    common(p, _cmd_projector)
 
     p = sub.add_parser("riesz", help="lacunary product support and profiles")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--freqs", required=True, help="comma list of increasing frequencies")
     p.add_argument("--profile", type=int, default=None, help="search range for profiles")
     p.add_argument("--power", type=int, default=2)
-    common(p)
-    p.set_defaults(func=_cmd_riesz,
-                   _types={"alpha": float, "freqs": str, "profile": int, "power": int})
+    common(p, _cmd_riesz)
 
     p = sub.add_parser("gauss-sim", help="stationary sequence diagnostics")
     p.add_argument("--spectrum", required=True, help="atomic measure JSON")
@@ -375,15 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="moments,spectral,gaussianity")
     p.add_argument("--pmax", type=int, default=16)
     p.add_argument("--dump", action="store_true", help="also write the time series CSV")
-    common(p)
-    p.set_defaults(func=_cmd_gauss_sim,
-                   _types={"spectrum": str, "len": int, "seed": int, "model": str,
-                           "report": str, "pmax": int, "dump": bool})
+    common(p, _cmd_gauss_sim)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=7)
-    common(p)
-    p.set_defaults(func=_cmd_verify_all, _types={"seed": int})
+    common(p, _cmd_verify_all)
 
     return top
 
@@ -396,9 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        allowed = dict(args._types)
-        allowed.update({"out": str, "seed": int})
-        _apply_config(args, allowed)
+        _apply_config(args)
         worker_count()  # fail fast on a malformed HELSON_LAB_THREADS
         os.makedirs(args.out, exist_ok=True)
         status = args.func(args)

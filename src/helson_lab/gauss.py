@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange
-from .torus import AtomicCircleMeasure
+from .torus import AtomicCircleMeasure, golden_min
 
 _CHUNK_ELEMS = 1 << 24  # cap on rows*atoms per synthesis matmul block
 _BATCHES = 32  # batch-means blocks for time standard errors
@@ -95,9 +95,6 @@ class RandomPhaseModel:
     def unit_amplitudes(self, n_atoms: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         return np.exp(2j * np.pi * rng.random(n_atoms))
-
-
-Model = "GaussianModel | RandomPhaseModel"
 
 
 def _synthesize(lam: np.ndarray, amps: np.ndarray, T_len: int) -> np.ndarray:
@@ -527,30 +524,13 @@ def _detect_atom_powers(seq: np.ndarray, max_atoms: int = 64) -> Tuple[np.ndarra
         b = int(np.argmax(work))
         if work[b] < 1e-4 * total or work[b] <= 0:
             break
-        lo = (b - 0.6) / T
-        hi = (b + 0.6) / T
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - inv * (hi - lo)
-        x2 = lo + inv * (hi - lo)
-        f1 = -abs(_amplitude_at(seq, x1))
-        f2 = -abs(_amplitude_at(seq, x2))
-        for _ in range(28):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv * (hi - lo)
-                f1 = -abs(_amplitude_at(seq, x1))
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv * (hi - lo)
-                f2 = -abs(_amplitude_at(seq, x2))
-        lam = (0.5 * (lo + hi)) % 1.0
+        lo, hi = (b - 0.6) / T, (b + 0.6) / T
+        lam = golden_min(lambda x: -abs(_amplitude_at(seq, x)), lo, hi, iters=28) % 1.0
         amp = _amplitude_at(seq, lam)
         found_lam.append(lam)
         found_w.append(abs(amp) ** 2)
-        lo_b = (b - 2) % T
         for off in range(-2, 3):
             work[(b + off) % T] = 0.0
-        _ = lo_b
     return np.array(found_lam), np.array(found_w)
 
 

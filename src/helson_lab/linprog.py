@@ -3,7 +3,8 @@
 Solves   min c.x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 (callers split free variables into differences of nonnegative ones).
 
-Thin wrapper over scipy's HiGHS dual simplex.  It exists to pin down the
+Thin wrapper over scipy's HiGHS interface (method="highs", which lets
+HiGHS choose simplex or interior point).  It exists to pin down the
 conventions the rest of the package relies on: a single dense calling form,
 duals reported as sensitivities dz/db for both row groups, an explicit
 duality gap, and this package's error taxonomy (Infeasible / Unbounded /
@@ -18,6 +19,8 @@ import numpy as np
 from scipy.optimize import linprog as _scipy_linprog
 
 from .errors import Infeasible, OutOfRange, SolverStall, Unbounded
+
+LP_MAX_ROWS = 4096  # dense envelope: constraint rows (equalities + inequalities)
 
 
 @dataclass
@@ -42,8 +45,8 @@ def lp_solve(
     """Solve min c.x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
     Stated envelope: up to 1e4 variables and about 1e3 rows; a hard guard
-    rejects anything past 1e4 x 4096.  Optimality is certified by the dual
-    values (duality_gap <= 1e-8 * (1 + |objective|) in practice).
+    rejects anything past 1e4 x LP_MAX_ROWS (4096).  Optimality is certified
+    by the dual values (duality_gap <= 1e-8 * (1 + |objective|) in practice).
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -56,7 +59,7 @@ def lp_solve(
         raise OutOfRange("constraint matrix width does not match len(c)")
     if b_eq.size != m_eq or b_ub.size != m_ub:
         raise OutOfRange("right-hand side length does not match its matrix")
-    if n > 10_000 or m_eq + m_ub > 4096:
+    if n > 10_000 or m_eq + m_ub > LP_MAX_ROWS:
         raise OutOfRange(f"LP size {n} x {m_eq + m_ub} exceeds the dense solver envelope")
 
     res = _scipy_linprog(

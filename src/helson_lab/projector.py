@@ -32,15 +32,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSeparation, OutOfRange
+from .linprog import LP_MAX_ROWS, lp_solve
 from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
     SparseTrigPoly,
     a_norm_lattice,
+    golden_min,
 )
 
 _COS8 = math.cos(math.pi / 8.0)
 _POINT_TOL = 1e-6  # constraint residual tolerance at solution points
+# octagonal ceilings over the variable blocks (p, q, u, w, r) of one coefficient
+_OCTAGON = np.array([
+    [1.0, 1.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, 1.0, -1.0],
+    [1.0, 1.0, 1.0, 1.0, -math.sqrt(2.0)],
+])
+# (cos, sin) of the eight cap directions j pi / 4
+_CAP_DIRS = np.array([(math.cos(j * math.pi / 4.0), math.sin(j * math.pi / 4.0)) for j in range(8)])
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -89,23 +99,6 @@ class _SupScan:
         return float(np.max(np.abs(self.E @ w)))
 
 
-def _golden_min(fun, a: float, b: float, iters: int = 36) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
-
-
 def _normalize_l1(w: np.ndarray) -> np.ndarray:
     s = np.sum(np.abs(w))
     if s < 1e-12:
@@ -131,7 +124,7 @@ def _polish(scan: _SupScan, w: np.ndarray, sweeps: int = 4) -> np.ndarray:
             coarse = np.linspace(0.0, 2.0 * np.pi, 33)[:-1]
             best_phi = min(coarse, key=phase_obj)
             span = 2.0 * np.pi / 32
-            phi = _golden_min(phase_obj, best_phi - span, best_phi + span)
+            phi = golden_min(phase_obj, best_phi - span, best_phi + span)
             if phase_obj(phi) <= scan.value(w):
                 w[j] = mag * np.exp(1j * phi)
         for i in range(k):
@@ -147,7 +140,7 @@ def _polish(scan: _SupScan, w: np.ndarray, sweeps: int = 4) -> np.ndarray:
                 grid = np.linspace(lo, hi, 17)
                 t0 = min(grid, key=mass_obj)
                 step = (hi - lo) / 16 if hi > lo else 0.0
-                t = _golden_min(mass_obj, max(lo, t0 - step), min(hi, t0 + step)) if step else 0.0
+                t = golden_min(mass_obj, max(lo, t0 - step), min(hi, t0 + step)) if step else 0.0
                 if mass_obj(t) < scan.value(w) - 1e-15:
                     w[i] = (abs(w[i]) + t) * np.exp(1j * np.angle(w[i]))
                     w[j] = (abs(w[j]) - t) * np.exp(1j * np.angle(w[j]))
@@ -169,8 +162,8 @@ def helson_constant(
     k = len(K)
     if k == 0 or k > 8:
         raise OutOfRange(f"|K| must be in 1..8, got {k}")
-    if g_range > 10 ** 6:
-        raise OutOfRange(f"g_range must be <= 1e6, got {g_range}")
+    if g_range < 0 or g_range > 10 ** 6:
+        raise OutOfRange(f"g_range must be in 0..1e6, got {g_range}")
     lam = K.values()
     scan = _SupScan(lam, g_range)
     rng = np.random.default_rng(seed)
@@ -269,6 +262,40 @@ class ApproxIndicator:
         }
 
 
+def _indicator_lp(
+    lamK: np.ndarray, ts: np.ndarray, epsilon: float, ns: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's LP.
+
+    Variables are the blocks (p, q, u, w, r), each indexed like ns.
+    """
+    N = ns.size
+    # tie-breaker: the optimal face of sum r_n is degenerate, and the
+    # split-part penalty selects the vertex with least sum |x| + |y|, which
+    # is also the least true A-norm one; it shifts the ceiling objective by
+    # at most ~3e-4 relative, well under reporting tolerances
+    c = np.full(5 * N, 1e-4)
+    c[4 * N:] = 1.0
+
+    # rows 3i..3i+2: the octagonal ceilings on coefficient i
+    ceilings = np.zeros((N, 3, 5, N))
+    ceilings[np.arange(N), :, :, np.arange(N)] = _OCTAGON
+    arg = 2.0 * np.pi * ns * np.concatenate([lamK, ts])[:, None]
+    cs, sn = np.cos(arg), np.sin(arg)
+    k = lamK.size
+    # phi(lambda) = 1: real part, then imaginary part, per lambda in K
+    cK, sK, zK = cs[:k], sn[:k], np.zeros((k, N))
+    A_eq = np.hstack([cK, -cK, -sK, sK, zK, sK, -sK, cK, -cK, zK]).reshape(2 * k, 5 * N)
+    # inscribed-octagon modulus caps on F: rows 8t..8t+7 rotate phi(t) by j pi/4
+    cos_j, sin_j = _CAP_DIRS[:, :1], _CAP_DIRS[:, 1:]
+    pa = cos_j * cs[k:, None] + sin_j * sn[k:, None]
+    ua = sin_j * cs[k:, None] - cos_j * sn[k:, None]
+    caps = np.concatenate([pa, -pa, ua, -ua, np.zeros_like(pa)], axis=2).reshape(-1, 5 * N)
+    A_ub = np.vstack([ceilings.reshape(3 * N, 5 * N), caps])
+    b_ub = np.concatenate([np.zeros(3 * N), np.full(caps.shape[0], epsilon * _COS8)])
+    return c, A_eq, np.tile([1.0, 0.0], k), A_ub, b_ub
+
+
 def approx_indicator(
     K: FiniteFrequencySet,
     F_samples: Sequence[float],
@@ -280,11 +307,24 @@ def approx_indicator(
     minimize sum_n r_n  s.t.  octagonal ceilings on each coefficient,
     phi(lambda) = 1 for lambda in K (two real equalities), and 8-gon
     modulus caps |phi(t)| <= eps for t in F_samples.
+
+    Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and at most
+    3 (2 degree + 1) + 2 |K| + 8 |F| <= 4096 LP rows, lp_solve's dense
+    limit (so degree <= 412 at |F| = 200 and |K| <= 8); larger requests are
+    refused before any row is built.
     """
     if degree < 1 or degree > 512:
         raise OutOfRange(f"degree must be in 1..512, got {degree}")
+    if len(K) == 0:
+        raise OutOfRange("K must hold at least one frequency")
     if len(K) + len(F_samples) > 500:
         raise OutOfRange("|K| + |F_samples| must be <= 500")
+    rows = 3 * (2 * degree + 1) + 2 * len(K) + 8 * len(F_samples)
+    if rows > LP_MAX_ROWS:
+        raise OutOfRange(
+            f"degree {degree} with |F| = {len(F_samples)} needs {rows} LP rows, "
+            f"past the {LP_MAX_ROWS}-row solver envelope"
+        )
     if not (0.0 < epsilon < 1.0):
         raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
     lamK = K.values()
@@ -297,113 +337,24 @@ def approx_indicator(
             f"min K-F distance {min_sep:.3e} is below the resolution 1/(2 degree)"
         )
 
-    D = int(degree)
-    ns = np.arange(-D, D + 1)
-    N = ns.size
-    nv = 5 * N  # blocks p q u w r
-    c = np.zeros(nv)
-    c[4 * N:] = 1.0
-    # tie-breaker: the optimal face of sum r_n is degenerate, and the
-    # split-part penalty selects the vertex with least sum |x| + |y|, which
-    # is also the least true A-norm one; it shifts the ceiling objective by
-    # at most ~3e-4 relative, well under reporting tolerances
-    c[:4 * N] = 1e-4
-
-    rows_ub: List[np.ndarray] = []
-    rhs_ub: List[float] = []
-
-    def blank() -> np.ndarray:
-        return np.zeros(nv)
-
-    # octagonal ceilings
-    for i in range(N):
-        row = blank()
-        row[i] = 1.0
-        row[N + i] = 1.0
-        row[4 * N + i] = -1.0
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-        row = blank()
-        row[2 * N + i] = 1.0
-        row[3 * N + i] = 1.0
-        row[4 * N + i] = -1.0
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-        row = blank()
-        row[i] = 1.0
-        row[N + i] = 1.0
-        row[2 * N + i] = 1.0
-        row[3 * N + i] = 1.0
-        row[4 * N + i] = -math.sqrt(2.0)
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-
-    # equalities phi(lambda) = 1
-    rows_eq: List[np.ndarray] = []
-    rhs_eq: List[float] = []
-    for lam in lamK:
-        cn = np.cos(2.0 * np.pi * ns * lam)
-        sn = np.sin(2.0 * np.pi * ns * lam)
-        row = blank()
-        row[:N] = cn
-        row[N:2 * N] = -cn
-        row[2 * N:3 * N] = -sn
-        row[3 * N:4 * N] = sn
-        rows_eq.append(row)
-        rhs_eq.append(1.0)
-        row = blank()
-        row[:N] = sn
-        row[N:2 * N] = -sn
-        row[2 * N:3 * N] = cn
-        row[3 * N:4 * N] = -cn
-        rows_eq.append(row)
-        rhs_eq.append(0.0)
-
-    # inscribed-octagon modulus caps on F
-    for t in ts:
-        cn = np.cos(2.0 * np.pi * ns * t)
-        sn = np.sin(2.0 * np.pi * ns * t)
-        for j in range(8):
-            th = j * math.pi / 4.0
-            pa = math.cos(th) * cn + math.sin(th) * sn
-            ua = math.sin(th) * cn - math.cos(th) * sn
-            row = blank()
-            row[:N] = pa
-            row[N:2 * N] = -pa
-            row[2 * N:3 * N] = ua
-            row[3 * N:4 * N] = -ua
-            rows_ub.append(row)
-            rhs_ub.append(epsilon * _COS8)
-
-    from .linprog import lp_solve
-
+    ns = np.arange(-int(degree), int(degree) + 1)
+    c, A_eq, b_eq, A_ub, b_ub = _indicator_lp(lamK, ts, epsilon, ns)
     try:
-        res = lp_solve(
-            c,
-            A_eq=np.array(rows_eq),
-            b_eq=np.array(rhs_eq),
-            A_ub=np.array(rows_ub),
-            b_ub=np.array(rhs_ub),
-        )
+        res = lp_solve(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
     except Infeasible as exc:
         raise InfeasibleSeparation(
             f"no degree-{degree} polynomial separates K from F at eps={epsilon}"
         ) from exc
 
-    v = res.x
-    x = v[:N] - v[N:2 * N]
-    y = v[2 * N:3 * N] - v[3 * N:4 * N]
-    coeffs: Dict[Tuple[int, ...], complex] = {}
-    for i, n in enumerate(ns):
-        coeffs[(int(n),)] = complex(x[i], y[i])
-    phi = SparseTrigPoly(1, coeffs)
+    p, q, u, w, r = res.x.reshape(5, ns.size)
+    phi = SparseTrigPoly(1, {(int(n),): complex(x, y) for n, x, y in zip(ns, p - q, u - w)})
     return ApproxIndicator(
         K=K,
         F_samples=tuple(float(t) for t in ts),
         epsilon=float(epsilon),
         phi=phi,
         a_norm=a_norm_lattice(phi),
-        lp_objective=float(np.sum(v[4 * N:])),
+        lp_objective=float(np.sum(r)),
     )
 
 

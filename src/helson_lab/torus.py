@@ -13,12 +13,11 @@ independence.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,11 +31,30 @@ FLOAT_FREQ_TOL = 1e-12   # distinctness tolerance for float frequencies
 
 # cap on scratch matrix entries for chunked evaluation
 _EVAL_CHUNK_ENTRIES = 4_000_000
+_LATTICE_CHUNK = 1 << 16  # coefficient vectors per enumeration block
 
 
 def freq_value(f: Frequency) -> float:
     """Float value of a frequency (Fraction or float)."""
     return float(f)
+
+
+def golden_min(fun: Callable[[float], float], a: float, b: float, iters: int = 36) -> float:
+    """Golden-section search for a minimizer of a unimodal fun on [a, b]."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = fun(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = fun(x2)
+    return 0.5 * (a + b)
 
 
 def parse_frequency(obj) -> Frequency:
@@ -158,19 +176,31 @@ class SparseTrigPoly:
 # ---------------------------------------------------------------------------
 
 def _check_distinct(freqs: Sequence[Frequency], what: str) -> None:
-    # exact equality for rationals, 1e-12 circle distance for float pairs
-    vals = [freq_value(f) for f in freqs]
-    for i in range(len(freqs)):
-        for j in range(i + 1, len(freqs)):
-            fi, fj = freqs[i], freqs[j]
-            if isinstance(fi, Fraction) and isinstance(fj, Fraction):
-                if fi == fj:
-                    raise OutOfRange(f"duplicate frequency {fi} in {what}")
-            else:
-                d = abs(vals[i] - vals[j])
-                d = min(d, 1.0 - d)
-                if d <= FLOAT_FREQ_TOL:
-                    raise OutOfRange(f"frequencies {fi} and {fj} coincide in {what}")
+    # exact equality for rationals, 1e-12 circle distance for pairs with a
+    # float.  In exact order equal rationals sit side by side, a float's
+    # nearest partner is a neighbour, and its farthest (the closest across
+    # 0 ~ 1) is the first or the last entry; only those pairs are compared.
+    if len(freqs) < 2:
+        return
+    order = sorted(range(len(freqs)), key=lambda i: (freq_value(freqs[i]), freqs[i]))
+    first, last = order[0], order[-1]
+    pairs = list(zip(order, order[1:]))
+    pairs += [
+        (i, end)
+        for i in order
+        if not isinstance(freqs[i], Fraction)
+        for end in (first, last)
+        if end != i
+    ]
+    for i, j in pairs:
+        fi, fj = freqs[i], freqs[j]
+        if isinstance(fi, Fraction) and isinstance(fj, Fraction):
+            if fi == fj:
+                raise OutOfRange(f"duplicate frequency {fi} in {what}")
+        else:
+            d = abs(freq_value(fi) - freq_value(fj))
+            if min(d, 1.0 - d) <= FLOAT_FREQ_TOL:
+                raise OutOfRange(f"frequencies {fi} and {fj} coincide in {what}")
 
 
 @dataclass(frozen=True)
@@ -365,6 +395,19 @@ def _canonical_sign(vec: Tuple[int, ...]) -> Tuple[int, ...]:
     return vec
 
 
+def _lattice_vectors(k: int, bound: int) -> Iterator[np.ndarray]:
+    """Every n in [-bound, bound]^k as int64 rows, in itertools.product order."""
+    base = 2 * bound + 1
+    total = base ** k
+    for lo in range(0, total, _LATTICE_CHUNK):
+        rem = np.arange(lo, min(lo + _LATTICE_CHUNK, total), dtype=np.int64)
+        digits = np.empty((rem.size, k), dtype=np.int64)
+        for j in range(k - 1, -1, -1):
+            digits[:, j] = rem % base
+            rem = rem // base
+        yield digits - bound
+
+
 def independence_check(K: FiniteFrequencySet, coeff_bound: int) -> IndependenceVerdict:
     """Exhaustively test weak independence over |n_j| <= coeff_bound.
 
@@ -385,73 +428,37 @@ def independence_check(K: FiniteFrequencySet, coeff_bound: int) -> IndependenceV
         raise BudgetExceeded(f"{n_vectors} vectors exceed the 1e8 search budget")
 
     if K.all_rational():
-        dens = [f.denominator for f in K.freqs]
-        L = math.lcm(*dens)
+        L = math.lcm(*(f.denominator for f in K.freqs))
         a = [f.numerator * (L // f.denominator) for f in K.freqs]
-        witnesses: List[Tuple[int, ...]] = []
-        # numpy path unless the integers could overflow int64
-        if L * coeff_bound * k < 2 ** 62:
-            a_arr = np.array(a, dtype=np.int64)
-            base = 2 * coeff_bound + 1
-            chunk = 1 << 16
-            for lo in range(0, n_vectors, chunk):
-                idx = np.arange(lo, min(lo + chunk, n_vectors), dtype=np.int64)
-                digits = np.empty((len(idx), k), dtype=np.int64)
-                rem = idx
-                for j in range(k - 1, -1, -1):
-                    digits[:, j] = rem % base
-                    rem = rem // base
-                vecs = digits - coeff_bound
-                terms = vecs * a_arr  # n_j * a_j, integer
-                total_ok = (terms.sum(axis=1) % L) == 0
-                each_ok = np.all(terms % L == 0, axis=1)
-                bad = total_ok & ~each_ok
-                if np.any(bad):
-                    for row in vecs[bad]:
-                        witnesses.append(_canonical_sign(tuple(int(x) for x in row)))
-        else:
-            for vec in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=k):
-                terms = [n * aj for n, aj in zip(vec, a)]
-                if sum(terms) % L == 0 and any(t % L != 0 for t in terms):
-                    witnesses.append(_canonical_sign(vec))
+        # exact Python-int arithmetic where n_j a_j could overflow int64
+        a_arr = np.array(a, dtype=np.int64 if L * coeff_bound * k < 2 ** 62 else object)
+        witnesses = set()
+        for vecs in _lattice_vectors(k, coeff_bound):
+            terms = vecs * a_arr  # n_j * a_j, integer
+            bad = (terms.sum(axis=1) % L == 0) & ~np.all(terms % L == 0, axis=1)
+            witnesses.update(_canonical_sign(tuple(int(x) for x in row)) for row in vecs[bad])
         if witnesses:
-            best = min(set(witnesses), key=lambda v: (sum(abs(x) for x in v), tuple(-x for x in v)))
+            best = min(witnesses, key=lambda v: (sum(abs(x) for x in v), tuple(-x for x in v)))
             return IndependenceVerdict("dependent", best)
         return IndependenceVerdict("independent")
 
     # float path: can never certify independence
     lam = K.values()
-    base = 2 * coeff_bound + 1
-    hit_witness: Optional[Tuple[int, ...]] = None
-    chunk = 1 << 16
-    for lo in range(0, n_vectors, chunk):
-        idx = np.arange(lo, min(lo + chunk, n_vectors), dtype=np.int64)
-        digits = np.empty((len(idx), k), dtype=np.int64)
-        rem = idx
-        for j in range(k - 1, -1, -1):
-            digits[:, j] = rem % base
-            rem = rem // base
-        vecs = (digits - coeff_bound).astype(float)
+    for vecs in _lattice_vectors(k, coeff_bound):
         terms = vecs * lam
         total = terms.sum(axis=1)
         total_hit = np.abs(total - np.round(total)) <= 1e-9
         each_int = np.abs(terms - np.round(terms)) <= 1e-9
         bad = total_hit & ~np.all(each_int, axis=1)
-        if np.any(bad) and hit_witness is None:
-            row = vecs[bad][0]
-            hit_witness = _canonical_sign(tuple(int(x) for x in row))
-    return IndependenceVerdict("inconclusive", hit_witness)
+        if np.any(bad):
+            witness = _canonical_sign(tuple(int(x) for x in vecs[bad][0]))
+            return IndependenceVerdict("inconclusive", witness)
+    return IndependenceVerdict("inconclusive")
 
 
 # ---------------------------------------------------------------------------
 # JSON helpers
 # ---------------------------------------------------------------------------
-
-def dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def load_json(path: str) -> dict:
     with open(path) as fh:

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -258,6 +259,38 @@ def test_config_wrong_type(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_config_value_outside_choices(tmp_path, spectrum_file, capsys):
+    cpath = write_json(tmp_path / "cfg.json", {"model": "randomphase"})
+    out = tmp_path / "run"
+    rc = main([
+        "gauss-sim", "--spectrum", spectrum_file, "--len", "2000",
+        "--config", cpath, "--out", str(out),
+    ])
+    assert rc == 2
+    assert "config key model" in capsys.readouterr().err
+    assert not (out / "gauss_sim.json").exists()
+
+
+@pytest.mark.parametrize("command,key", [("drury", "n"), ("mela", "epsilon"), ("mela", "grid")])
+def test_config_bool_for_number_rejected(tmp_path, capsys, command, key):
+    cpath = write_json(tmp_path / "cfg.json", {key: True})
+    argv = [command, "--config", cpath, "--out", str(tmp_path / "run")]
+    if command == "drury":
+        argv += ["--n", "3", "--epsilon", "0.1"]
+    assert main(argv) == 2
+    assert f"config key {key} " in capsys.readouterr().err
+
+
+def test_config_bool_flag_takes_bool(tmp_path, spectrum_file):
+    cpath = write_json(tmp_path / "cfg.json", {"dump": True, "model": "random-phase"})
+    out = tmp_path / "run"
+    rc = main(["gauss-sim", "--spectrum", spectrum_file, "--len", "2000", "--report", "spectral",
+               "--config", cpath, "--out", str(out)])
+    assert rc == 0
+    assert (out / "gauss_series.csv").exists()
+    assert read_json(out / "gauss_sim.json")["model"] == "random-phase"
+
+
 def test_config_malformed_json(tmp_path):
     cpath = tmp_path / "cfg.json"
     cpath.write_text("not json {")
@@ -290,6 +323,52 @@ def test_manifest_records_threads(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["mela", "--epsilon", "0.5", "--out", str(out)]) == 0
     assert read_json(out / "manifest.json")["threads"] == 1
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(tmp_path / "a.json"), "{}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_mode_and_concurrent_writers(tmp_path, monkeypatch):
+    path = str(tmp_path / "shared.json")
+    with open(tmp_path / "plain", "w"):
+        pass
+    # both writers finish their temp file before either renames it
+    barrier = threading.Barrier(2)
+    real_replace = os.replace
+
+    def synced_replace(src, dst):
+        barrier.wait(timeout=10)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", synced_replace)
+    payloads = ["first\n", "second\n"]
+    errors = []
+
+    def write(data):
+        try:
+            cli._atomic_write(path, data)
+        except Exception as exc:  # recorded for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(d,)) for d in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    with open(path) as fh:
+        assert fh.read() in payloads
+    assert sorted(os.listdir(tmp_path)) == ["plain", "shared.json"]
+    # same permissions as a file opened for writing (umask applied, not 0600)
+    assert os.stat(path).st_mode & 0o777 == os.stat(tmp_path / "plain").st_mode & 0o777
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,47 @@ def test_atom_power_detection_matches_given_frequencies():
     assert max(abs(a - b) for a, b in zip(auto.z_scores, given.z_scores)) < 0.2
 
 
+def _detect_reference(seq, max_atoms=64):
+    """FFT peak scan with the 28-step golden-section refinement written out."""
+    T = seq.size
+    work = np.abs(np.fft.fft(seq) / T) ** 2
+    total = float(np.sum(work))
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    objective = lambda x: -abs(G._amplitude_at(seq, x))  # noqa: E731
+    found_lam, found_w = [], []
+    for _ in range(max_atoms):
+        b = int(np.argmax(work))
+        if work[b] < 1e-4 * total or work[b] <= 0:
+            break
+        lo, hi = (b - 0.6) / T, (b + 0.6) / T
+        x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+        f1, f2 = objective(x1), objective(x2)
+        for _ in range(28):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - inv * (hi - lo)
+                f1 = objective(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + inv * (hi - lo)
+                f2 = objective(x2)
+        lam = (0.5 * (lo + hi)) % 1.0
+        found_lam.append(lam)
+        found_w.append(abs(G._amplitude_at(seq, lam)) ** 2)
+        for off in range(-2, 3):
+            work[(b + off) % T] = 0.0
+    return np.array(found_lam), np.array(found_w)
+
+
+@pytest.mark.parametrize("cls", [G.GaussianModel, G.RandomPhaseModel])
+def test_atom_power_detection_matches_inline_search(cls):
+    x = G.simulate(cls(spectrum=SPEC8, T_len=10_000, seed=3))
+    lam, w = G._detect_atom_powers(x)
+    ref_lam, ref_w = _detect_reference(x)
+    assert lam.size >= 8  # the eight atoms plus leakage peaks
+    assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
+
+
 def test_conjugation_invariance():
     lam = [0.123, 0.456, 0.789]
     spec = AtomicCircleMeasure.from_pairs([(l, 1.0 / 3) for l in lam])

@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helson_lab import projector
 from helson_lab.errors import InfeasibleSeparation, OutOfRange
+from helson_lab.linprog import LP_MAX_ROWS
 from helson_lab.projector import (
     RotationModel,
     apply_projector,
@@ -91,6 +93,11 @@ def test_helson_guards():
         helson_constant(FiniteFrequencySet((Fraction(0),)), g_range=2 * 10 ** 6, restarts=1, seed=0)
 
 
+def test_helson_negative_g_range_rejected():
+    with pytest.raises(OutOfRange, match="g_range"):
+        helson_constant(FiniteFrequencySet((Fraction(0),)), g_range=-1, restarts=1, seed=0)
+
+
 def test_helson_json_dict():
     est = helson_constant(FiniteFrequencySet((Fraction(1, 3),)), g_range=16, restarts=1, seed=0)
     d = est.to_json_dict()
@@ -158,6 +165,107 @@ def test_indicator_domain_guards():
         approx_indicator(K, [0.5], 1.0, degree=8)
     with pytest.raises(OutOfRange):
         approx_indicator(K, list(np.linspace(0.1, 0.9, 500)), 0.1, degree=8)
+
+
+def test_indicator_empty_K_rejected():
+    with pytest.raises(OutOfRange, match="K must hold"):
+        approx_indicator(FiniteFrequencySet(()), [0.5], 0.1, degree=8)
+
+
+class _Captured(Exception):
+    """Raised by a stand-in lp_solve once it has recorded its arguments."""
+
+
+def _capture_lp(monkeypatch) -> dict:
+    seen: dict = {}
+
+    def fake(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
+        seen.update(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+        raise _Captured
+
+    monkeypatch.setattr(projector, "lp_solve", fake)
+    return seen
+
+
+def _grid_kf(n_k: int, n_f: int):
+    # n_k + n_f evenly spaced points; K takes every step-th one
+    pts = (np.arange(n_k + n_f) + 0.5) / (n_k + n_f)
+    step = (n_k + n_f) // n_k
+    k_idx = set(range(0, step * n_k, step))
+    K = FiniteFrequencySet(tuple(float(pts[i]) for i in sorted(k_idx)))
+    F = [float(pts[i]) for i in range(n_k + n_f) if i not in k_idx]
+    return K, F
+
+
+def test_indicator_row_envelope_matches_solver(monkeypatch):
+    seen = _capture_lp(monkeypatch)
+    K = FiniteFrequencySet((Fraction(0),))
+    F = list(np.linspace(0.25, 0.75, 499))
+    # 3 (2 * 16 + 1) + 2 * 1 + 8 * 499 = 4093 rows: built and handed over
+    with pytest.raises(_Captured):
+        approx_indicator(K, F, 0.1, degree=16)
+    rows = seen["A_eq"].shape[0] + seen["A_ub"].shape[0]
+    assert rows == 3 * (2 * 16 + 1) + 2 * 1 + 8 * 499 <= LP_MAX_ROWS
+    # one more degree needs 4099 rows: refused before any row is built
+    seen.clear()
+    with pytest.raises(OutOfRange, match=r"degree 17 with \|F\| = 499"):
+        approx_indicator(K, F, 0.1, degree=17)
+    assert not seen
+    K2, F2 = _grid_kf(2, 200)
+    with pytest.raises(OutOfRange, match=r"degree 512 with \|F\| = 200"):
+        approx_indicator(K2, F2, 0.1, degree=512)
+    assert not seen
+
+
+_COS8 = math.cos(math.pi / 8.0)
+
+
+def _loop_lp(lamK, ts, epsilon, degree):
+    """Row-at-a-time construction of the indicator LP (reference oracle)."""
+    ns = np.arange(-degree, degree + 1)
+    N = ns.size
+    nv = 5 * N
+    c = np.zeros(nv)
+    c[4 * N:] = 1.0
+    c[:4 * N] = 1e-4
+    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
+    for i in range(N):
+        for blocks, r_coef in (((0, 1), -1.0), ((2, 3), -1.0), ((0, 1, 2, 3), -math.sqrt(2.0))):
+            row = np.zeros(nv)
+            for b in blocks:
+                row[b * N + i] = 1.0
+            row[4 * N + i] = r_coef
+            rows_ub.append(row)
+            rhs_ub.append(0.0)
+    for lam in lamK:
+        cn = np.cos(2.0 * np.pi * ns * lam)
+        sn = np.sin(2.0 * np.pi * ns * lam)
+        for parts, rhs in (((cn, -cn, -sn, sn), 1.0), ((sn, -sn, cn, -cn), 0.0)):
+            rows_eq.append(np.concatenate(parts + (np.zeros(N),)))
+            rhs_eq.append(rhs)
+    for t in ts:
+        cn = np.cos(2.0 * np.pi * ns * t)
+        sn = np.sin(2.0 * np.pi * ns * t)
+        for j in range(8):
+            th = j * math.pi / 4.0
+            pa = math.cos(th) * cn + math.sin(th) * sn
+            ua = math.sin(th) * cn - math.cos(th) * sn
+            rows_ub.append(np.concatenate([pa, -pa, ua, -ua, np.zeros(N)]))
+            rhs_ub.append(epsilon * _COS8)
+    return c, np.array(rows_eq), np.array(rhs_eq), np.array(rows_ub), np.array(rhs_ub)
+
+
+@pytest.mark.parametrize("degree,n_k,n_f", [(24, 8, 24), (64, 4, 100), (128, 2, 200), (1, 1, 0), (9, 3, 0)])
+def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
+    seen = _capture_lp(monkeypatch)
+    K, F = _grid_kf(n_k, n_f)
+    with pytest.raises(_Captured):
+        approx_indicator(K, F, 0.05, degree=degree)
+    want = _loop_lp(K.values(), np.array(F), 0.05, degree)
+    for name, ref in zip(("c", "A_eq", "b_eq", "A_ub", "b_ub"), want):
+        got = np.asarray(seen[name])
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
 
 
 def test_indicator_json_round_trip(golden_inds):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +13,17 @@ from hypothesis import strategies as st
 
 from helson_lab.errors import BudgetExceeded, DimensionTooLarge, OutOfRange
 from helson_lab.torus import (
+    FLOAT_FREQ_TOL,
     AtomicCircleMeasure,
     FiniteFrequencySet,
+    IndependenceVerdict,
     SparseTrigPoly,
+    _canonical_sign,
+    _check_distinct,
     a_norm_lattice,
     dense_fft_oracle,
     fourier_coeff,
+    golden_min,
     independence_check,
     l1_norm_monte_carlo,
     l1_norm_torus,
@@ -51,6 +58,66 @@ def test_measure_rejects_duplicate_frequency():
         AtomicCircleMeasure(((Fraction(1, 3), 1.0), (Fraction(1, 3), 2.0)))
     with pytest.raises(OutOfRange):
         AtomicCircleMeasure(((0.25, 1.0), (0.25 + 1e-13, 1.0)))
+
+
+def _distinct_oracle(freqs) -> bool:
+    """All-pairs distinctness: exact for two rationals, 1e-12 circle distance otherwise."""
+    for fi, fj in itertools.combinations(freqs, 2):
+        if isinstance(fi, Fraction) and isinstance(fj, Fraction):
+            if fi == fj:
+                return False
+        else:
+            d = abs(float(fi) - float(fj))
+            if min(d, 1.0 - d) <= FLOAT_FREQ_TOL:
+                return False
+    return True
+
+
+_EDGES = [0.0, 1e-13, 5e-13, 1e-12, 2e-12, 0.25, 0.5, 1 - 2e-12, 1 - 1e-12, 1 - 5e-13,
+          1 - 1e-16, math.nextafter(1.0, 0.0), 1.0]
+_near_edge = st.builds(
+    lambda base, k: min(1.0, max(0.0, base + k * 2.5e-13)), st.sampled_from(_EDGES), st.integers(-6, 6)
+)
+_float_freq = st.one_of(_near_edge, st.floats(0.0, 1.0, exclude_max=True))
+_fraction_freq = st.one_of(
+    st.builds(Fraction, _near_edge),  # exact value of a float
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1),
+    # distinct rationals that share one float value
+    st.builds(lambda k: Fraction(10 ** 20 - k, 10 ** 20), st.integers(0, 3) | st.integers(0, 10 ** 9)),
+    st.builds(lambda k: Fraction(k, 10 ** 20), st.integers(0, 3) | st.integers(0, 10 ** 9)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_float_freq, _fraction_freq), max_size=10))
+def test_check_distinct_matches_all_pairs_oracle(freqs):
+    ok = _distinct_oracle(freqs)
+    if ok:
+        _check_distinct(freqs, "test")
+    else:
+        with pytest.raises(OutOfRange):
+            _check_distinct(freqs, "test")
+
+
+def test_check_distinct_wraps_and_keeps_rationals_exact():
+    with pytest.raises(OutOfRange):
+        _check_distinct([0.5, 1 - 5e-13, 0.25, 2e-13], "test")  # across 0 ~ 1
+    with pytest.raises(OutOfRange):
+        _check_distinct([Fraction(1, 3), 0.9, Fraction(2, 6)], "test")
+    # distinct rationals 1e-20 apart stay distinct; a float between them does not
+    close = [Fraction(1, 10 ** 20), Fraction(0), Fraction(2, 10 ** 20)]
+    _check_distinct(close, "test")
+    with pytest.raises(OutOfRange):
+        _check_distinct(close + [0.0], "test")
+    # both round to the float 1.0; the duplicate must still be seen
+    a, b = Fraction(10 ** 20 - 1, 10 ** 20), Fraction(10 ** 20 - 2, 10 ** 20)
+    _check_distinct([a, b], "test")
+    with pytest.raises(OutOfRange):
+        _check_distinct([a, b, a], "test")
+
+
+def test_golden_min_finds_parabola_vertex():
+    assert golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0) == pytest.approx(0.3, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +336,61 @@ def test_independence_deterministic():
     v1 = independence_check(K, 4)
     v2 = independence_check(K, 4)
     assert v1 == v2
+
+
+def _independence_oracle(K: FiniteFrequencySet, bound: int) -> IndependenceVerdict:
+    """itertools enumeration of [-bound, bound]^k with Python-int arithmetic."""
+    vectors = itertools.product(range(-bound, bound + 1), repeat=len(K))
+    if K.all_rational():
+        L = math.lcm(*(f.denominator for f in K.freqs))
+        a = [f.numerator * (L // f.denominator) for f in K.freqs]
+        witnesses = set()
+        for vec in vectors:
+            terms = [n * aj for n, aj in zip(vec, a)]
+            if sum(terms) % L == 0 and any(t % L != 0 for t in terms):
+                witnesses.add(_canonical_sign(vec))
+        if witnesses:
+            return IndependenceVerdict(
+                "dependent", min(witnesses, key=lambda v: (sum(map(abs, v)), tuple(-x for x in v)))
+            )
+        return IndependenceVerdict("independent")
+    lam = K.values()
+    for vec in vectors:
+        terms = np.array(vec, dtype=float) * lam
+        total = terms.sum()
+        if abs(total - round(total)) <= 1e-9 and np.any(np.abs(terms - np.round(terms)) > 1e-9):
+            return IndependenceVerdict("inconclusive", _canonical_sign(vec))
+    return IndependenceVerdict("inconclusive")
+
+
+MERSENNE_61 = 2 ** 61 - 1  # lcm * bound * |K| past 2^62: exact Python-int path
+
+
+@pytest.mark.parametrize(
+    "freqs,bound",
+    [
+        ((Fraction(1, 3), Fraction(2, 3)), 3),
+        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), 4),
+        ((Fraction(1, 5), Fraction(2, 7), Fraction(3, 11)), 6),
+        ((Fraction(1, 4), Fraction(3, 8), Fraction(5, 12), Fraction(7, 9)), 3),
+        ((Fraction(1, MERSENNE_61), Fraction(MERSENNE_61 - 1, MERSENNE_61)), 3),
+        ((Fraction(1, MERSENNE_61), Fraction(1, 3)), 4),
+        ((Fraction(5, MERSENNE_61), Fraction(1, 2), Fraction(7, MERSENNE_61)), 3),
+        ((Fraction(1, 3), Fraction(MERSENNE_61 - 1, MERSENNE_61)), 3),  # n_j a_j past 2^63
+        ((Fraction(1, MERSENNE_61), Fraction(MERSENNE_61 - 1, MERSENNE_61), Fraction(1, 2 ** 31 - 1)), 2),
+        ((1 / 3, 2 / 3), 3),
+        ((np.sqrt(2) - 1, np.sqrt(3) - 1), 10),
+        ((0.25, Fraction(1, 3), 0.125), 4),
+    ],
+)
+def test_independence_matches_itertools_oracle(freqs, bound):
+    K = FiniteFrequencySet(freqs)
+    assert independence_check(K, bound) == _independence_oracle(K, bound)
+
+
+def test_independence_overflow_path_is_exact():
+    K = FiniteFrequencySet((Fraction(1, MERSENNE_61), Fraction(MERSENNE_61 - 1, MERSENNE_61)))
+    assert independence_check(K, 3) == IndependenceVerdict("dependent", (1, 1))
 
 
 def test_independence_budget():
