@@ -102,7 +102,6 @@ def _apply_config(args: argparse.Namespace) -> None:
         for a in args._parser._actions
         if a.dest not in ("help", "config")
     }
-    fields.setdefault("seed", (int, None))  # accepted by every subcommand
     for key, value in overrides.items():
         if key not in fields:
             raise ConfigParse(f"unknown config key: {key}")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import OutOfRange
 from .torus import AtomicCircleMeasure, golden_min
 
-_CHUNK_ELEMS = 1 << 24  # cap on rows*atoms per synthesis matmul block
+_CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 _BATCHES = 32  # batch-means blocks for time standard errors
 
 
@@ -97,14 +97,58 @@ class RandomPhaseModel:
         return np.exp(2j * np.pi * rng.random(n_atoms))
 
 
+def _block_grid(T_len: int) -> Tuple[int, int]:
+    """(B, number of blocks) for n = b*B + k with B = ceil(sqrt(T_len)), 0 <= k < B."""
+    B = math.isqrt(T_len - 1) + 1
+    return B, -(-T_len // B)
+
+
+def _block_phasors(lam: np.ndarray, T_len: int):
+    """Phasor blocks of the atoms lam over n < T_len, one atom chunk at a time.
+
+    Yields (atom slice, base, blocks) with base[k, j] = e^{2 pi i k lam_j}
+    (B x A_chunk) and blocks[b, j] = e^{2 pi i b B lam_j} (blocks x A_chunk),
+    so e^{2 pi i n lam_j} = blocks[b, j] * base[k, j] and every sum over n
+    becomes one matrix product per chunk with O(sqrt(T_len) A) exponentials.
+    Phases are reduced mod 1 before the exponential, as in a direct sum;
+    chunks keep B * A_chunk <= _CHUNK_ELEMS.
+    """
+    B, n_blocks = _block_grid(T_len)
+    ks = np.arange(B, dtype=float)
+    bBs = np.arange(n_blocks, dtype=float) * B
+    step = max(1, _CHUNK_ELEMS // B)
+    for j0 in range(0, lam.size, step):
+        sl = slice(j0, j0 + step)
+        base = np.exp(2j * np.pi * (np.outer(ks, lam[sl]) % 1.0))
+        blocks = np.exp(2j * np.pi * (np.outer(bBs, lam[sl]) % 1.0))
+        yield sl, base, blocks
+
+
 def _synthesize(lam: np.ndarray, amps: np.ndarray, T_len: int) -> np.ndarray:
-    out = np.empty(T_len, dtype=complex)
-    rows = max(1, _CHUNK_ELEMS // max(1, lam.size))
-    for n0 in range(0, T_len, rows):
-        ns = np.arange(n0, min(n0 + rows, T_len), dtype=float)
-        frac = np.outer(ns, lam) % 1.0
-        out[n0:n0 + ns.size] = np.exp(2j * np.pi * frac) @ amps
+    """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len."""
+    B, n_blocks = _block_grid(T_len)
+    out = np.zeros((n_blocks, B), dtype=complex)  # row b holds n = b*B .. b*B + B - 1
+    for sl, base, blocks in _block_phasors(lam, T_len):
+        out += (blocks * amps[sl]) @ base.T
+    return out.ravel()[:T_len]
+
+
+def _amplitudes_at(seq: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """(1/T) sum_n seq_n e^{-2 pi i n lam} for every lam: the adjoint of _synthesize."""
+    T = seq.size
+    B, n_blocks = _block_grid(T)
+    rows = np.zeros(n_blocks * B, dtype=complex)
+    rows[:T] = seq
+    rows = rows.reshape(n_blocks, B)
+    out = np.empty(lams.size, dtype=complex)
+    for sl, base, blocks in _block_phasors(lams, T):
+        out[sl] = np.sum((rows @ base.conj()) * blocks.conj(), axis=0) / T
     return out
+
+
+def _amplitude_at(seq: np.ndarray, lam: float) -> complex:
+    """(1/T) sum_n seq_n e^{-2 pi i n lam} at one frequency."""
+    return complex(_amplitudes_at(seq, np.array([float(lam)]))[0])
 
 
 def _model_amplitudes(model) -> Tuple[np.ndarray, np.ndarray]:
@@ -491,46 +535,68 @@ def quasianalytic_check(M: Sequence[float]) -> QuasiAnalyticReport:
 # Gaussianity z-scores
 # ---------------------------------------------------------------------------
 
-def _random_phase_moment(k: int, W: np.ndarray) -> float:
-    """E|sum_j sqrt(W_j) u_j|^{2k} over independent uniform phases u_j.
+def _random_phase_moment(k: int, W: np.ndarray) -> np.ndarray:
+    """E|sum_j sqrt(W_j) u_j|^{2k} over independent uniform phases u_j, per row of W.
 
     Equals k!^2 [x^k] prod_j sum_a (W_j^a / a!^2) x^a; this is also the
     almost-sure time-average limit of |X_n|^{2k} for atomic synthesis with
-    realized atom powers W_j and generic frequencies.
+    realized atom powers W_j and generic frequencies.  Each row of the 2-D W
+    is one set of atom powers; all rows run the truncated product at once.
     """
     fact_sq = np.array([math.factorial(a) ** 2 for a in range(k + 1)], dtype=float)
-    poly = np.zeros(k + 1)
-    poly[0] = 1.0
-    for Wj in W:
-        gen = (float(Wj) ** np.arange(k + 1)) / fact_sq
-        poly = np.convolve(poly, gen)[: k + 1]
-    return float(math.factorial(k) ** 2 * poly[k])
+    gen = W[:, :, None] ** np.arange(k + 1) / fact_sq  # gen[..., 0] == 1
+    poly = np.zeros((W.shape[0], k + 1))
+    poly[:, 0] = 1.0
+    for j in range(W.shape[1]):
+        nxt = poly.copy()
+        for a in range(1, k + 1):
+            nxt[:, a:] += poly[:, : k + 1 - a] * gen[:, j, a, None]
+        poly = nxt
+    return math.factorial(k) ** 2 * poly[:, k]
 
 
-def _amplitude_at(seq: np.ndarray, lam: float) -> complex:
-    ns = np.arange(seq.size, dtype=float)
-    return complex(np.mean(seq * np.exp(-2j * np.pi * ((ns * lam) % 1.0))))
+def _atom_spectrum(lam: float, T: int) -> np.ndarray:
+    """fft(e^{2 pi i n lam}, n < T) / T in closed form: the Dirichlet kernel.
+
+    Bin b holds (1 - e^{2 pi i T d}) / (T (1 - e^{2 pi i d})), d = lam - b/T,
+    written as sin(pi T d) / (T sin(pi d)) e^{i pi (T - 1) d} with d reduced
+    to [-1/2, 1/2] (the value is 1-periodic in d), so no 1 - e^{...} cancels.
+    """
+    d = lam - np.arange(T) / T
+    d -= np.round(d)
+    den = T * np.sin(np.pi * d)
+    ratio = np.divide(np.sin(np.pi * T * d), den, out=np.ones(T), where=den != 0)
+    return ratio * np.exp(1j * np.pi * (T - 1) * d)
 
 
 def _detect_atom_powers(seq: np.ndarray, max_atoms: int = 64) -> Tuple[np.ndarray, np.ndarray]:
-    """FFT peak scan with sub-bin refinement; returns (frequencies, powers)."""
+    """FFT peak scan with sub-bin refinement; returns (frequencies, powers).
+
+    Each refined atom is subtracted, in closed form, from the spectrum and
+    from the sequence before the next peak is taken and refined, so the
+    leakage side lobes of the atoms found are not taken for atoms.
+    """
     T = seq.size
-    spec = np.abs(np.fft.fft(seq) / T) ** 2
-    total = float(np.sum(spec))
+    resid = np.array(seq, dtype=complex)
+    spec = np.fft.fft(resid) / T
+    total = float(np.sum(np.abs(spec) ** 2))
+    notch = np.zeros(T, dtype=bool)
     found_lam: List[float] = []
     found_w: List[float] = []
-    work = spec.copy()
     for _ in range(max_atoms):
+        work = np.abs(spec) ** 2
+        work[notch] = 0.0
         b = int(np.argmax(work))
         if work[b] < 1e-4 * total or work[b] <= 0:
             break
         lo, hi = (b - 0.6) / T, (b + 0.6) / T
-        lam = golden_min(lambda x: -abs(_amplitude_at(seq, x)), lo, hi, iters=28) % 1.0
-        amp = _amplitude_at(seq, lam)
+        lam = golden_min(lambda x: -abs(_amplitude_at(resid, x)), lo, hi, iters=28) % 1.0
+        amp = _amplitude_at(resid, lam)
         found_lam.append(lam)
         found_w.append(abs(amp) ** 2)
-        for off in range(-2, 3):
-            work[(b + off) % T] = 0.0
+        spec -= amp * _atom_spectrum(lam, T)
+        resid -= _synthesize(np.array([lam]), np.array([amp]), T)
+        notch[(b + np.arange(-2, 3)) % T] = True
     return np.array(found_lam), np.array(found_w)
 
 
@@ -578,7 +644,8 @@ def gaussianity_test(
     m2 = float(np.mean(a2))
 
     if freqs is not None:
-        W = np.array([abs(_amplitude_at(seq, float(l) % 1.0)) ** 2 for l in freqs])
+        lams = np.array([float(l) % 1.0 for l in freqs])
+        W = np.abs(_amplitudes_at(seq, lams)) ** 2
     else:
         _, W = _detect_atom_powers(seq)
     if W.size == 0:
@@ -591,16 +658,15 @@ def gaussianity_test(
     zs: List[float] = []
     rng = np.random.default_rng(8569203)
     idx = rng.integers(0, W.size, size=(n_boot, W.size))
+    W_boot = W[idx]
+    W_boot_sum = np.sum(W_boot, axis=1)
     for k in ks:
         m2k = float(np.mean(a2 ** k))
         dev = m2k - math.factorial(k) * m2 ** k
         # influence function of m_{2k} - k! m_2^k under time averaging
         psi = a2 ** k - math.factorial(k) * k * m2 ** (k - 1) * a2
         st = _batch_se(psi)
-        boots = np.empty(n_boot)
-        for r in range(n_boot):
-            Wr = W[idx[r]]
-            boots[r] = _random_phase_moment(k, Wr) - math.factorial(k) * float(np.sum(Wr)) ** k
+        boots = _random_phase_moment(k, W_boot) - math.factorial(k) * W_boot_sum ** k
         sr = float(np.std(boots, ddof=1))
         se = math.sqrt(st ** 2 + sr ** 2)
         devs.append(dev)

@@ -291,6 +291,36 @@ def test_config_bool_flag_takes_bool(tmp_path, spectrum_file):
     assert read_json(out / "gauss_sim.json")["model"] == "random-phase"
 
 
+@pytest.mark.parametrize("command", [
+    "mela", "projector", "riesz", "drury", "helson-constant", "gauss-sim", "verify-all",
+])
+def test_config_seed_only_where_the_flag_exists(tmp_path, freq_files, spectrum_file,
+                                               monkeypatch, capsys, command):
+    kf, ff = freq_files
+    argv = {
+        "mela": ["mela"],
+        "projector": ["projector", "--K", kf, "--F", ff],
+        "riesz": ["riesz", "--alpha", "0.5", "--freqs", "3,9,27"],
+        "drury": ["drury", "--n", "3", "--epsilon", "0.1"],
+        "helson-constant": ["helson-constant", "--K", kf, "--grange", "200", "--restarts", "2"],
+        "gauss-sim": ["gauss-sim", "--spectrum", spectrum_file, "--len", "2000",
+                      "--report", "spectral"],
+        "verify-all": ["verify-all"],
+    }[command]
+    monkeypatch.setattr(cli, "run_acceptance", lambda seed: (
+        {"seed": seed, "all_passed": True, "checks": {}}, {}))
+    out = tmp_path / "run"
+    cpath = write_json(tmp_path / "cfg.json", {"seed": 3})
+    rc = main(argv + ["--config", cpath, "--out", str(out)])
+    if command in ("mela", "projector", "riesz"):  # no --seed flag
+        assert rc == 2
+        assert "unknown config key: seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+    else:
+        assert rc == 0
+        assert read_json(out / "manifest.json")["params"]["seed"] == 3
+
+
 def test_config_malformed_json(tmp_path):
     cpath = tmp_path / "cfg.json"
     cpath.write_text("not json {")

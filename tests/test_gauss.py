@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helson_lab import gauss as G
 from helson_lab.errors import OutOfRange
@@ -50,6 +52,89 @@ def test_simulate_matches_direct_synthesis():
             math.sqrt(0.5) * xi[j] * np.exp(2j * np.pi * ns * lam[j]) for j in range(3)
         )
         assert np.max(np.abs(G.simulate(model) - direct)) < 1e-9
+
+
+def _direct_synthesis(lam, amps, T_len):
+    """X_n = sum_j amps_j e^{2 pi i n lam_j}: one complex exp per (n, atom)."""
+    out = np.empty(T_len, dtype=complex)
+    rows = max(1, (1 << 22) // max(1, len(lam)))
+    for n0 in range(0, T_len, rows):
+        ns = np.arange(n0, min(n0 + rows, T_len), dtype=float)
+        out[n0:n0 + ns.size] = np.exp(2j * np.pi * (np.outer(ns, lam) % 1.0)) @ amps
+    return out
+
+
+def _direct_amplitude(seq, lam):
+    """(1/T) sum_n seq_n e^{-2 pi i n lam}: one complex exp per sample."""
+    ns = np.arange(seq.size, dtype=float)
+    return complex(np.mean(seq * np.exp(-2j * np.pi * ((ns * lam) % 1.0))))
+
+
+_FREQ = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def _kernel_case(draw):
+    """(lam, amps, T_len): frequencies near 0 and 1, repeats, complex amplitudes."""
+    A = draw(st.sampled_from([1, 2, 7, 64]))
+    B = draw(st.integers(2, 60))
+    T_len = draw(st.sampled_from([1, 2, 3, B * B - 1, B * B, B * B + 1, 200_000]))
+    pool = draw(st.lists(_FREQ, min_size=1, max_size=A))
+    lam = np.array(draw(st.lists(st.sampled_from(pool), min_size=A, max_size=A)))
+    parts = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * A, max_size=2 * A))
+    amps = np.array(parts[:A]) + 1j * np.array(parts[A:])
+    return lam, amps, T_len
+
+
+# the largest case every run: 64 atoms (some repeated, some near 0 and 1), T = 2e5
+_LAM64 = np.concatenate([[0.0, 1e-9, 1.0 - 1e-9, 1.0 - 1e-9], np.random.default_rng(5).random(60)])
+_AMPS64 = np.exp(1j * np.arange(64.0)) * np.linspace(0.5, 1.5, 64)
+_BIG_CASE = (_LAM64, _AMPS64, 200_000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_kernel_case())
+@example(_BIG_CASE)
+def test_blocked_synthesis_matches_direct_sum(case):
+    lam, amps, T_len = case
+    ref = _direct_synthesis(lam, amps, T_len)
+    got = G._synthesize(lam, amps, T_len)
+    assert got.shape == (T_len,)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_kernel_case(), st.integers(0, 2 ** 32 - 1))
+@example(_BIG_CASE, 0)
+def test_blocked_analysis_matches_direct_sum(case, seed):
+    lam, _, T_len = case
+    rng = np.random.default_rng(seed)
+    seq = rng.standard_normal(T_len) + 1j * rng.standard_normal(T_len)
+    ref = np.array([_direct_amplitude(seq, l) for l in lam])
+    got = G._amplitudes_at(seq, lam)
+    tol = 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= tol
+    assert abs(G._amplitude_at(seq, lam[0]) - ref[0]) <= tol
+
+
+def test_atom_chunking_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(17)
+    lam = rng.random(7)
+    amps = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    T_len = 5_000  # B = 71
+    seq = G._synthesize(lam, amps, T_len)
+    ana = G._amplitudes_at(seq, lam)
+    monkeypatch.setattr(G, "_CHUNK_ELEMS", 3 * 71)  # chunks of 3, 3 and 1 atoms
+    assert [sl for sl, _, _ in G._block_phasors(lam, T_len)] == [
+        slice(0, 3), slice(3, 6), slice(6, 9)
+    ]
+    chunked = G._synthesize(lam, amps, T_len)
+    assert np.max(np.abs(chunked - seq)) <= 1e-12 * np.max(np.abs(seq))
+    assert np.max(np.abs(G._amplitudes_at(seq, lam) - ana)) <= 1e-12 * np.max(np.abs(ana))
 
 
 def test_simulate_deterministic_in_seed():
@@ -322,15 +407,64 @@ def test_atom_power_detection_matches_given_frequencies():
     assert max(abs(a - b) for a, b in zip(auto.z_scores, given.z_scores)) < 0.2
 
 
+def _random_phase_moment_scalar(k, W):
+    """k!^2 [x^k] prod_j sum_a (W_j^a / a!^2) x^a for one set of atom powers."""
+    fact_sq = np.array([math.factorial(a) ** 2 for a in range(k + 1)], dtype=float)
+    poly = np.zeros(k + 1)
+    poly[0] = 1.0
+    for Wj in W:
+        gen = (float(Wj) ** np.arange(k + 1)) / fact_sq
+        poly = np.convolve(poly, gen)[: k + 1]
+    return float(math.factorial(k) ** 2 * poly[k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_batched_random_phase_moment_matches_scalar_loop(k):
+    rng = np.random.default_rng(k)
+    W = rng.random(40) / 40
+    rows = W[rng.integers(0, W.size, size=(50, W.size))]
+    ref = np.array([_random_phase_moment_scalar(k, r) for r in rows])
+    got = G._random_phase_moment(k, rows)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def test_bootstrap_matches_per_resample_loop(xg_200k):
+    rep = G.gaussianity_test(xg_200k, 3, freqs=LAM8)
+    W = np.array([abs(_direct_amplitude(xg_200k, l)) ** 2 for l in LAM8])
+    assert np.max(np.abs(np.sort(W) - np.sort(rep.atom_powers))) <= 1e-12 * W.max()
+    idx = np.random.default_rng(8569203).integers(0, W.size, size=(400, W.size))
+    for k in (1, 2, 3):
+        boots = [
+            _random_phase_moment_scalar(k, W[i]) - math.factorial(k) * float(np.sum(W[i])) ** k
+            for i in idx
+        ]
+        sr = float(np.std(boots, ddof=1))
+        assert abs(rep.se_realization[k - 1] - sr) <= 1e-9 * sr + 1e-15
+
+
+@pytest.mark.parametrize(
+    "T,lam", [(1_000, 0.3217), (64, 0.25), (7, 0.999999), (50, 0.0), (9, 1e-7), (200_000, 0.61803)]
+)
+def test_atom_spectrum_is_fft_of_one_atom(T, lam):
+    ref = np.fft.fft(_direct_synthesis(np.array([lam]), np.array([1.0 + 0j]), T)) / T
+    # the oracle's phases n*lam carry up to ~T*eps rounding
+    assert np.max(np.abs(G._atom_spectrum(lam, T) - ref)) <= 1e-12 + 1e-15 * T
+
+
 def _detect_reference(seq, max_atoms=64):
-    """FFT peak scan with the 28-step golden-section refinement written out."""
+    """FFT peak scan with the 28-step golden-section refinement and the
+    closed-form subtraction of each atom found written out."""
     T = seq.size
-    work = np.abs(np.fft.fft(seq) / T) ** 2
-    total = float(np.sum(work))
+    resid = np.array(seq, dtype=complex)
+    spec = np.fft.fft(resid) / T
+    total = float(np.sum(np.abs(spec) ** 2))
+    notch = np.zeros(T, dtype=bool)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    objective = lambda x: -abs(G._amplitude_at(seq, x))  # noqa: E731
+    objective = lambda x: -abs(G._amplitude_at(resid, x))  # noqa: E731
     found_lam, found_w = [], []
     for _ in range(max_atoms):
+        work = np.abs(spec) ** 2
+        work[notch] = 0.0
         b = int(np.argmax(work))
         if work[b] < 1e-4 * total or work[b] <= 0:
             break
@@ -347,20 +481,33 @@ def _detect_reference(seq, max_atoms=64):
                 x2 = lo + inv * (hi - lo)
                 f2 = objective(x2)
         lam = (0.5 * (lo + hi)) % 1.0
+        amp = G._amplitude_at(resid, lam)
         found_lam.append(lam)
-        found_w.append(abs(G._amplitude_at(seq, lam)) ** 2)
+        found_w.append(abs(amp) ** 2)
+        # Dirichlet kernel: fft of e^{2 pi i n lam} over n < T, divided by T
+        d = lam - np.arange(T) / T
+        d -= np.round(d)
+        den = T * np.sin(np.pi * d)
+        ratio = np.divide(np.sin(np.pi * T * d), den, out=np.ones(T), where=den != 0)
+        spec -= amp * (ratio * np.exp(1j * np.pi * (T - 1) * d))
+        resid -= G._synthesize(np.array([lam]), np.array([amp]), T)
         for off in range(-2, 3):
-            work[(b + off) % T] = 0.0
+            notch[(b + off) % T] = True
     return np.array(found_lam), np.array(found_w)
 
 
 @pytest.mark.parametrize("cls", [G.GaussianModel, G.RandomPhaseModel])
 def test_atom_power_detection_matches_inline_search(cls):
-    x = G.simulate(cls(spectrum=SPEC8, T_len=10_000, seed=3))
-    lam, w = G._detect_atom_powers(x)
-    ref_lam, ref_w = _detect_reference(x)
-    assert lam.size >= 8  # the eight atoms plus leakage peaks
-    assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
+    for T in (10_000, 20_000, 50_000):
+        x = G.simulate(cls(spectrum=SPEC8, T_len=T, seed=3))
+        lam, w = G._detect_atom_powers(x)
+        ref_lam, ref_w = _detect_reference(x)
+        assert lam.size == 8  # the eight atoms, no leakage side lobes
+        assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
+        order = np.argsort(lam)
+        given = np.array([abs(G._amplitude_at(x, l)) ** 2 for l in LAM8])
+        assert np.max(np.abs(lam[order] - LAM8)) <= 1e-7
+        assert np.max(np.abs(w[order] - given)) <= 2e-4
 
 
 def test_conjugation_invariance():
