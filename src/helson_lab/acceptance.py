@@ -90,8 +90,8 @@ def check_drury_pipeline(seed: int) -> dict:
             basis_err = max(
                 abs(d.psi.coeffs.get(e, 0j) - 1.0) for e in d.basis_points()
             )
-            off = d.max_off_basis()  # full support enumeration
-            mc, se = l1_norm_monte_carlo(d.psi, 8000, seed=seed + 11 * n)
+            off = d.max_off_basis()
+            mc, se = l1_norm_monte_carlo(d, 8000, seed=seed + 11 * n)
             passed = bool(
                 basis_err <= 1e-8 and off <= eps + 1e-8 and mc <= cert.tv + 3.0 * se
             )

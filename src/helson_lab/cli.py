@@ -185,7 +185,7 @@ def _cmd_drury(args) -> int:
         sigma, cert = solve_mela(args.epsilon)
         tv = cert.tv
     d = mix_drury(args.n, sigma, args.epsilon)
-    mc, se = l1_norm_monte_carlo(d.psi, 8000, seed=args.seed)
+    mc, se = l1_norm_monte_carlo(d, 8000, seed=args.seed)
     basis_values = [
         [list(e), d.psi.coeffs.get(e, 0j).real, d.psi.coeffs.get(e, 0j).imag]
         for e in d.basis_points()

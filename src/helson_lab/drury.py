@@ -17,6 +17,7 @@ total variation of the mixing measure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,14 +27,18 @@ import numpy as np
 
 from .errors import MomentCheckFailed, OutOfRange
 from .mela import SignedGridMeasure
-from .torus import LatticePoint, SparseTrigPoly
+from .torus import _EVAL_CHUNK_ENTRIES, COEFF_PRUNE_TOL, LatticePoint, SparseTrigPoly
 
 _BASIS_TOL = 1e-8  # LP-grade tolerance on the basis normalization
 
 
-def _check_params(n: int, s: float) -> None:
+def _check_dim(n: int) -> None:
     if n < 1 or n > 14:
         raise OutOfRange(f"n must be in 1..14, got {n}")
+
+
+def _check_params(n: int, s: float) -> None:
+    _check_dim(n)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
 
@@ -89,32 +94,85 @@ def support_count(n: int) -> int:
 @dataclass(frozen=True)
 class DruryFunction:
     """Coefficient map on Z^n equal to 1 on the basis-image points {-e_j}
-    and of modulus <= epsilon on the rest of its support."""
+    and of modulus <= epsilon on the rest of its support.
+
+    It is held as its stratum moments: moments[a] is the coefficient at
+    every 1_A - 1_B with |A| = a, |B| = a + 1, for a = 0 .. floor((n-1)/2).
+    Moments of modulus <= 1e-15 count as 0, as SparseTrigPoly prunes them.
+    The explicit map psi is built on first use only; evaluate and
+    max_off_basis never need it.
+    """
 
     dim: int
-    psi: SparseTrigPoly
+    moments: Tuple[float, ...]
     a_norm_bound: float
     epsilon: float
 
     def __post_init__(self):
         n = self.dim
-        for j in range(n):
-            e = tuple(-1 if i == j else 0 for i in range(n))
-            val = self.psi.coeffs.get(e, 0j)
-            if abs(val - 1.0) > _BASIS_TOL:
-                raise OutOfRange(f"basis value at {e} is {val}, not 1 within 1e-8")
+        _check_dim(n)
+        object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
+        if len(self.moments) != (n - 1) // 2 + 1:
+            raise OutOfRange(
+                f"dimension {n} has {(n - 1) // 2 + 1} strata, got {len(self.moments)} moments"
+            )
+        basis = self._pruned_moments()[0]
+        if abs(basis - 1.0) > _BASIS_TOL:
+            raise OutOfRange(f"basis value {basis} is not 1 within 1e-8")
         off = self.max_off_basis()
         if off > self.epsilon + _BASIS_TOL:
             raise OutOfRange(f"off-basis coefficient {off} exceeds epsilon {self.epsilon}")
+
+    def _pruned_moments(self) -> np.ndarray:
+        """The moments with the SparseTrigPoly prune applied."""
+        M = np.array(self.moments, dtype=float)
+        M[np.abs(M) <= COEFF_PRUNE_TOL] = 0.0
+        return M
+
+    @functools.cached_property
+    def psi(self) -> SparseTrigPoly:
+        """The explicit coefficient map over the whole support."""
+        return SparseTrigPoly(self.dim, {m: self.moments[a] for a, m in _support_strata(self.dim)})
 
     def basis_points(self) -> List[LatticePoint]:
         n = self.dim
         return [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
 
     def max_off_basis(self) -> float:
-        basis = set(self.basis_points())
-        off = [abs(c) for m, c in self.psi.coeffs.items() if m not in basis]
-        return max(off) if off else 0.0
+        """max |moments[a]| over the strata a >= 1 (0 when there are none)."""
+        return float(np.max(np.abs(self._pruned_moments()[1:]), initial=0.0))
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """psi at points in [0,1)^dim; points shape (S, dim) -> (S,) complex.
+
+        psi(t) = sum_a moments[a] e_a(t), where e_a is the coefficient of
+        x^a y^(a+1) in prod_j (1 + x u_j + y conj(u_j)), u_j = e^{2 pi i t_j}.
+        The product is expanded factor by factor with degrees truncated to
+        a <= floor((n-1)/2), so a point costs O(n^3), not O(support).
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            points = points[:, None]
+        if points.shape[1] != self.dim:
+            raise OutOfRange("point dimension mismatch")
+        M = self._pruned_moments()
+        top = M.size - 1
+        # the expansion E and its two shifted products stay within
+        # _EVAL_CHUNK_ENTRIES entries
+        chunk = max(1, _EVAL_CHUNK_ENTRIES // (3 * (top + 1) * (top + 2)))
+        out = np.empty(points.shape[0], dtype=complex)
+        for lo in range(0, points.shape[0], chunk):
+            u = np.exp(2j * np.pi * points[lo:lo + chunk]).T  # (dim, chunk)
+            E = np.zeros((top + 1, top + 2, u.shape[1]), dtype=complex)
+            E[0, 0] = 1.0
+            for uj in u:
+                x_terms = uj * E[:-1]
+                y_terms = np.conj(uj) * E[:, :-1]
+                E[1:] += x_terms
+                E[:, 1:] += y_terms
+            a = np.arange(top + 1)
+            out[lo:lo + chunk] = M @ E[a, a + 1]
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,11 +192,13 @@ def mix_drury(n: int, sigma: SignedGridMeasure, epsilon: float) -> DruryFunction
     """Mix extract_P over sigma without expanding any P_s.
 
     psi(1_A - 1_B) = integral s^{2|A|+1} d(sigma), so only one moment per
-    stratum is needed; cost is (support size) x (atom count).  The moments
+    stratum is needed; cost is (number of strata) x (atom count), and the
+    support is enumerated only if psi is asked for.  The moments
     that actually occur in dimension n are validated first: the first
     moment must be 1 within 1e-8 and each higher odd moment present must
     have modulus <= epsilon.
     """
+    _check_dim(n)
     if not (0.0 < epsilon):
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     moments = _moments_for_dim(sigma, n)
@@ -151,13 +211,9 @@ def mix_drury(n: int, sigma: SignedGridMeasure, epsilon: float) -> DruryFunction
             raise MomentCheckFailed(
                 f"odd moment of order {2 * a + 1} has modulus {abs(value)} > epsilon {epsilon}"
             )
-    coeffs: Dict[LatticePoint, complex] = {}
-    for a, m in _support_strata(n):
-        coeffs[m] = moments[a]
-    psi = SparseTrigPoly(n, coeffs)
     return DruryFunction(
         dim=n,
-        psi=psi,
+        moments=tuple(moments),
         a_norm_bound=sigma.total_variation,
         epsilon=float(epsilon),
     )

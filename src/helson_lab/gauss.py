@@ -603,7 +603,7 @@ def _detect_atom_powers(seq: np.ndarray, max_atoms: int = 64) -> Tuple[np.ndarra
 @dataclass(frozen=True)
 class GaussianityReport:
     k_values: Tuple[int, ...]
-    z_scores: Tuple[float, ...]
+    z_scores: Tuple[Optional[float], ...]
     deviations: Tuple[float, ...]
     se_time: Tuple[float, ...]
     se_realization: Tuple[float, ...]
@@ -635,7 +635,9 @@ def gaussianity_test(
     frequencies, or detected from FFT peaks): for each resample the
     deviation predicted by the phase-average closed form is recomputed, and
     its scatter estimates how much the realized deviation itself varies
-    across realizations.  Verdict: Gaussian-consistent iff all |z| <= 3.
+    across realizations.  A k whose standard error is 0 and whose deviation
+    is not gets z = None (JSON null).  Verdict: Gaussian-consistent iff
+    every z is a number with |z| <= 3.
     """
     if k_max < 1 or k_max > 6:
         raise OutOfRange(f"k_max must be in 1..6, got {k_max}")
@@ -655,7 +657,7 @@ def gaussianity_test(
     devs: List[float] = []
     se_t: List[float] = []
     se_r: List[float] = []
-    zs: List[float] = []
+    zs: List[Optional[float]] = []
     rng = np.random.default_rng(8569203)
     idx = rng.integers(0, W.size, size=(n_boot, W.size))
     W_boot = W[idx]
@@ -672,7 +674,9 @@ def gaussianity_test(
         devs.append(dev)
         se_t.append(st)
         se_r.append(sr)
-        zs.append(dev / se if se > 0 else math.copysign(1e12, dev) if dev != 0 else 0.0)
+        # with no noise at all (one atom: |X|^2 constant, one bootstrap atom)
+        # a nonzero deviation has no finite z; it is reported as None
+        zs.append(dev / se if se > 0 else None if dev != 0 else 0.0)
     return GaussianityReport(
         k_values=tuple(ks),
         z_scores=tuple(zs),
@@ -680,5 +684,5 @@ def gaussianity_test(
         se_time=tuple(se_t),
         se_realization=tuple(se_r),
         atom_powers=tuple(float(x) for x in np.sort(W)[::-1]),
-        gaussian_consistent=bool(all(abs(z) <= 3.0 for z in zs)),
+        gaussian_consistent=bool(all(z is not None and abs(z) <= 3.0 for z in zs)),
     )

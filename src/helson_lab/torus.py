@@ -317,10 +317,14 @@ def l1_norm_torus(p: SparseTrigPoly, grid_per_dim: int) -> float:
     return float(np.mean(np.abs(values)))
 
 
-def l1_norm_monte_carlo(p: SparseTrigPoly, samples: int, seed: int) -> Tuple[float, float]:
+def l1_norm_monte_carlo(p, samples: int, seed: int) -> Tuple[float, float]:
     """Monte Carlo estimate of the L^1 norm with standard error.
 
-    High-dimension fallback for l1_norm_torus; deterministic given seed.
+    p is any function on T^dim with a ``dim`` and a vectorised
+    ``evaluate(points)``, such as a SparseTrigPoly or a
+    drury.DruryFunction.  High-dimension fallback for l1_norm_torus;
+    deterministic given seed: the points are one default_rng(seed) stream
+    whatever the chunking.
     """
     if samples < 1000:
         raise OutOfRange(f"samples must be >= 1000, got {samples}")
@@ -328,8 +332,10 @@ def l1_norm_monte_carlo(p: SparseTrigPoly, samples: int, seed: int) -> Tuple[flo
     total = 0.0
     total_sq = 0.0
     remaining = int(samples)
-    # chunk draws so scratch matrices stay small for wide supports
-    chunk_pts = max(1, _EVAL_CHUNK_ENTRIES // max(1, len(p.coeffs)))
+    # a SparseTrigPoly scratch matrix holds points x terms entries; any
+    # other evaluator bounds its own scratch, so only the points count
+    width = len(p.coeffs) if isinstance(p, SparseTrigPoly) else p.dim
+    chunk_pts = max(1, _EVAL_CHUNK_ENTRIES // max(1, width))
     while remaining > 0:
         take = min(chunk_pts, remaining)
         pts = rng.random((take, p.dim))

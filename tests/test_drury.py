@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helson_lab.drury as drury
 from helson_lab.drury import (
     DruryFunction,
+    _support_strata,
     expand_Q,
     extract_P,
     mix_drury,
@@ -17,12 +23,19 @@ from helson_lab.drury import (
 from helson_lab.errors import MomentCheckFailed, OutOfRange
 from helson_lab.mela import SignedGridMeasure, solve_mela
 from helson_lab.torus import (
+    SparseTrigPoly,
     a_norm_lattice,
     dense_fft_oracle,
     l1_norm_monte_carlo,
     l1_norm_torus,
     oracle_coefficient,
 )
+
+
+@pytest.fixture(scope="module")
+def mela_measures():
+    """The mixing measures of the acceptance Drury pipeline, by epsilon."""
+    return {eps: solve_mela(eps)[0] for eps in (0.1, 0.01)}
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +217,151 @@ def test_mix_monte_carlo_l1_below_tv():
 
 
 def test_drury_function_rejects_bad_basis():
-    import helson_lab.torus as torus
-
-    psi = torus.SparseTrigPoly(2, {(-1, 0): 0.9, (0, -1): 1.0})
     with pytest.raises(OutOfRange):
-        DruryFunction(2, psi, 1.0, 0.1)
+        DruryFunction(2, (0.9,), 1.0, 0.1)
+
+
+def test_drury_function_guards():
+    with pytest.raises(OutOfRange):
+        DruryFunction(3, (1.0, 0.2), 1.0, 0.1)  # off-basis moment above epsilon
+    with pytest.raises(OutOfRange):
+        DruryFunction(3, (1.0,), 1.0, 0.1)  # n = 3 has two strata
+    for n in (0, 15):
+        with pytest.raises(OutOfRange):
+            DruryFunction(n, (1.0,) * max(1, (n - 1) // 2 + 1), 1.0, 0.1)
+        with pytest.raises(OutOfRange):
+            mix_drury(n, SignedGridMeasure.from_atoms([(0.5, 2.0)]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# moment-held Drury functions against the explicit support
+# ---------------------------------------------------------------------------
+
+def _eager_psi(n, moments):
+    """psi as mix_drury built it eagerly: one term per support point."""
+    coeffs = {}
+    for a, m in _support_strata(n):
+        coeffs[m] = moments[a]
+    return SparseTrigPoly(n, coeffs)
+
+
+def _max_off_enumerated(d):
+    """max_off_basis as a scan of the whole support."""
+    basis = set(d.basis_points())
+    off = [abs(c) for m, c in d.psi.coeffs.items() if m not in basis]
+    return max(off) if off else 0.0
+
+
+_moment = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-16, -1e-15, 2e-15]),  # around the 1e-15 prune
+)
+_coord = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1e-9),
+    st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_evaluate_matches_sparse_evaluation(n, data):
+    top = (n - 1) // 2
+    first = data.draw(st.floats(1.0 - 1e-9, 1.0 + 1e-9))
+    higher = data.draw(st.lists(_moment, min_size=top, max_size=top))
+    d = DruryFunction(n, (first, *higher), 1.0, epsilon=2.0)
+    pts = np.array(
+        data.draw(st.lists(st.lists(_coord, min_size=n, max_size=n), min_size=1, max_size=16))
+    )
+    ref = d.psi.evaluate(pts)
+    # the sparse sum rounds each phase 2 pi m.t, of size up to 2 pi n, after
+    # up to n additions; the recurrence's n products round far less
+    tol = 2 * np.pi * n * n * np.finfo(float).eps * a_norm_lattice(d.psi)
+    assert np.max(np.abs(d.evaluate(pts) - ref)) <= tol
+
+
+def test_evaluate_accepts_one_dimensional_points():
+    d = DruryFunction(1, (1.0,), 1.0, 0.1)
+    t = np.array([0.0, 0.25, 0.9])
+    assert np.allclose(d.evaluate(t), np.exp(-2j * np.pi * t), atol=1e-15)
+    with pytest.raises(OutOfRange):
+        d.evaluate(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_max_off_basis_matches_support_scan(n, mela_measures):
+    top = (n - 1) // 2
+    rng = np.random.default_rng(n)
+    variants = [
+        rng.uniform(-0.1, 0.1, top),
+        np.full(top, 1e-15),  # pruned: no off-basis term survives
+        np.resize([1e-16, -0.03, 2e-15], top),
+    ]
+    for higher in variants:
+        d = DruryFunction(n, (1.0, *higher), 1.0, 0.1)
+        assert d.max_off_basis() == _max_off_enumerated(d)
+    for eps, sigma in mela_measures.items():
+        d = mix_drury(n, sigma, eps)
+        assert d.max_off_basis() == _max_off_enumerated(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_lazy_psi_equals_eager_construction(n, mela_measures):
+    sigma = mela_measures[0.01]
+    d = mix_drury(n, sigma, 0.01)
+    assert "psi" not in d.__dict__
+    eager = _eager_psi(n, [sigma.moment(2 * a + 1) for a in range((n - 1) // 2 + 1)])
+    assert list(d.psi.coeffs.items()) == list(eager.coeffs.items())
+    assert d.to_json_dict() == {
+        "dim": n,
+        "epsilon": 0.01,
+        "a_norm_bound": sigma.total_variation,
+        "psi": eager.to_json_dict(),
+    }
+    # psi is the sigma-mixture of the z-bar slices P_s
+    if n <= 6:
+        mixed = {}
+        for s, w in sigma.atoms:
+            for m, c in extract_P(n, s).coeffs.items():
+                mixed[m] = mixed.get(m, 0.0) + w * c
+        for m, c in d.psi.coeffs.items():
+            assert mixed[m] == pytest.approx(c, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_monte_carlo_matches_sparse_path(n, eps, mela_measures):
+    d = mix_drury(n, mela_measures[eps], eps)
+    seed = 7 + 11 * n  # the acceptance pipeline's draw at seed 7
+    fast = l1_norm_monte_carlo(d, 8000, seed=seed)
+    slow = l1_norm_monte_carlo(d.psi, 8000, seed=seed)
+    assert fast == pytest.approx(slow, rel=1e-12, abs=0)
+
+
+def test_envelope_corner_n14_without_support(mela_measures):
+    start = time.perf_counter()
+    d = mix_drury(14, mela_measures[0.01], 0.01)
+    off = d.max_off_basis()
+    mc, se = l1_norm_monte_carlo(d, 8000, seed=1)
+    elapsed = time.perf_counter() - start
+    assert "psi" not in d.__dict__  # the 585,690-term support was never built
+    assert off <= 0.01 + 1e-8
+    assert 1.0 - 3 * se <= mc <= d.a_norm_bound + 3 * se
+    assert elapsed < 5.0
+
+
+def test_evaluate_chunks_bound_the_working_set(monkeypatch):
+    d = DruryFunction(14, (1.0, 0.01, -0.01, 0.005, 0.0, 0.002, -0.001), 7.0, 0.01)
+    pts = np.random.default_rng(0).random((3000, 14))
+    whole = d.evaluate(pts)
+    budget = 3 * 7 * 8 * 100  # entries: 100 points per chunk at n = 14
+    monkeypatch.setattr(drury, "_EVAL_CHUNK_ENTRIES", budget)
+    tracemalloc.start()
+    try:
+        chunked = d.evaluate(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, whole)
+    # beyond the output, only one chunk's complex scratch is alive
+    assert peak <= chunked.nbytes + 2 * 16 * budget

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -394,6 +395,21 @@ def test_random_phase_single_atom_large_negative_z():
     x = G.simulate(G.RandomPhaseModel(spectrum=spec, T_len=20_000, seed=2))
     rep = G.gaussianity_test(x, 2, freqs=[0.7])
     assert rep.z_scores[1] <= -5.0
+
+
+def test_noiseless_deviation_reports_null_z():
+    # one atom: |X|^2 is constant and the bootstrap has one atom, so se = 0
+    spec = AtomicCircleMeasure.from_pairs([(0.3, 1.0)])
+    x = G.simulate(G.RandomPhaseModel(spectrum=spec, T_len=5_000, seed=1))
+    rep = G.gaussianity_test(x, 3, freqs=[0.3])
+    assert rep.se_time == (0.0, 0.0, 0.0) and rep.se_realization == (0.0, 0.0, 0.0)
+    assert rep.deviations == (0.0, -1.0, -5.0)  # m_2k - k! m_2^k with |X| = 1
+    assert rep.z_scores == (0.0, None, None)
+    assert not rep.gaussian_consistent
+    assert '"z_scores": [0.0, null, null]' in json.dumps(rep.to_json_dict())
+    # a zero deviation keeps z = 0 and the verdict
+    rep = G.gaussianity_test(x, 1, freqs=[0.3])
+    assert rep.z_scores == (0.0,) and rep.gaussian_consistent
 
 
 def test_atom_power_detection_matches_given_frequencies():
