@@ -35,6 +35,7 @@ from .torus import AtomicCircleMeasure, golden_min
 
 _CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 _BATCHES = 32  # batch-means blocks for time standard errors
+_SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +636,11 @@ def gaussianity_test(
     frequencies, or detected from FFT peaks): for each resample the
     deviation predicted by the phase-average closed form is recomputed, and
     its scatter estimates how much the realized deviation itself varies
-    across realizations.  A k whose standard error is 0 and whose deviation
-    is not gets z = None (JSON null).  Verdict: Gaussian-consistent iff
-    every z is a number with |z| <= 3.
+    across realizations.  A standard error at rounding level (below 1e-12
+    of the Gaussian value k! m_2^k, e.g. np.std of 400 equal bootstrap
+    values) counts as 0, and a k whose standard error is 0 and whose
+    deviation is not gets z = None (JSON null).  Verdict:
+    Gaussian-consistent iff every z is a number with |z| <= 3.
     """
     if k_max < 1 or k_max > 6:
         raise OutOfRange(f"k_max must be in 1..6, got {k_max}")
@@ -676,7 +679,8 @@ def gaussianity_test(
         se_r.append(sr)
         # with no noise at all (one atom: |X|^2 constant, one bootstrap atom)
         # a nonzero deviation has no finite z; it is reported as None
-        zs.append(dev / se if se > 0 else None if dev != 0 else 0.0)
+        noisy = se > _SE_ROUNDING * math.factorial(k) * m2 ** k
+        zs.append(dev / se if noisy else None if dev != 0 else 0.0)
     return GaussianityReport(
         k_values=tuple(ks),
         z_scores=tuple(zs),

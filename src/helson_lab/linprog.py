@@ -3,12 +3,15 @@
 Solves   min c.x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 (callers split free variables into differences of nonnegative ones).
 
-Thin wrapper over scipy's HiGHS interface (method="highs", which lets
-HiGHS choose simplex or interior point).  It exists to pin down the
-conventions the rest of the package relies on: a single dense calling form,
-duals reported as sensitivities dz/db for both row groups, an explicit
-duality gap, and this package's error taxonomy (Infeasible / Unbounded /
-SolverStall) instead of status codes.
+Thin wrapper over scipy's HiGHS interface.  Every LP is solved by the
+HiGHS interior-point method with crossover (method="highs-ipm"), so the
+solution is a vertex with basic duals, and the same input gives the same
+bytes on every run.  The wrapper pins down the conventions the rest of the
+package relies on: a single dense calling form (handed to HiGHS as a sparse
+matrix, so zero entries cost nothing past the input itself), duals reported
+as sensitivities dz/db for both row groups, an explicit duality gap, and
+this package's error taxonomy (Infeasible / Unbounded / SolverStall)
+instead of status codes.
 """
 
 from __future__ import annotations
@@ -17,10 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog as _scipy_linprog
+from scipy.sparse import csr_array
 
 from .errors import Infeasible, OutOfRange, SolverStall, Unbounded
 
-LP_MAX_ROWS = 4096  # dense envelope: constraint rows (equalities + inequalities)
+LP_MAX_ENTRIES = 2 ** 25  # dense envelope: entries of c, A_eq and A_ub together
+GAP_TOL = 1e-8  # certified optimality: duality_gap <= GAP_TOL * (1 + |objective|)
+
+
+def dense_entries(rows: int, cols: int) -> int:
+    """Entries of the dense input (c plus `rows` constraint rows) over `cols` variables."""
+    return (rows + 1) * cols
 
 
 @dataclass
@@ -44,9 +54,11 @@ def lp_solve(
 ) -> LPResult:
     """Solve min c.x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-    Stated envelope: up to 1e4 variables and about 1e3 rows; a hard guard
-    rejects anything past 1e4 x LP_MAX_ROWS (4096).  Optimality is certified
-    by the dual values (duality_gap <= 1e-8 * (1 + |objective|) in practice).
+    Solved by HiGHS interior point with crossover.  The guard is sized by
+    what the dense input costs: (rows + 1) x variables <= LP_MAX_ENTRIES
+    (2^25, 256 MiB of float64), refused before HiGHS sees it.  Optimality
+    is certified by the dual values: duality_gap <= GAP_TOL * (1 + |objective|)
+    (GAP_TOL = 1e-8) in practice; callers that certify results re-check it.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -59,17 +71,20 @@ def lp_solve(
         raise OutOfRange("constraint matrix width does not match len(c)")
     if b_eq.size != m_eq or b_ub.size != m_ub:
         raise OutOfRange("right-hand side length does not match its matrix")
-    if n > 10_000 or m_eq + m_ub > LP_MAX_ROWS:
-        raise OutOfRange(f"LP size {n} x {m_eq + m_ub} exceeds the dense solver envelope")
+    if dense_entries(m_eq + m_ub, n) > LP_MAX_ENTRIES:
+        raise OutOfRange(
+            f"LP size {m_eq + m_ub} x {n} exceeds the dense solver envelope "
+            f"of {LP_MAX_ENTRIES} entries"
+        )
 
     res = _scipy_linprog(
         c,
-        A_ub=A_ub if m_ub else None,
+        A_ub=csr_array(A_ub) if m_ub else None,
         b_ub=b_ub if m_ub else None,
-        A_eq=A_eq if m_eq else None,
+        A_eq=csr_array(A_eq) if m_eq else None,
         b_eq=b_eq if m_eq else None,
         bounds=(0.0, None),
-        method="highs",
+        method="highs-ipm",
         options={"maxiter": int(max_iter)},
     )
     if res.status == 2:
@@ -89,5 +104,5 @@ def lp_solve(
     objective = float(c @ x)
     dual_obj = float(b_eq @ duals_eq + b_ub @ duals_ub)
     gap = abs(objective - dual_obj)
-    iters = int(np.sum(res.nit)) if np.ndim(res.nit) else int(res.nit)
+    iters = int(res.nit) + int(res.crossover_nit or 0)  # interior point + crossover
     return LPResult("optimal", x, objective, duals_eq, duals_ub, iters, gap)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import OutOfRange
-from .linprog import lp_solve
+from .linprog import GAP_TOL, LPResult, lp_solve
 
 _WEIGHT_PRUNE = 1e-12
 
@@ -77,13 +77,18 @@ class MomentCertificate:
     tail_bound: float
     tv: float
     mela_bound: float  # 2 |log eps| + 6
+    # optimality evidence of the LP that produced sigma (None: not from an LP)
+    lp_iterations: Optional[int] = None
+    lp_duality_gap: Optional[float] = None
 
     @property
     def valid(self) -> bool:
+        # tv is the LP objective sum(u + v) up to the 1e-12 weight prune
         return (
             abs(self.first_moment_error) <= 1e-8
             and self.max_odd_moment + self.tail_bound <= self.epsilon
             and self.tv <= self.mela_bound + 1e-6
+            and (self.lp_duality_gap is None or self.lp_duality_gap <= GAP_TOL * (1.0 + self.tv))
         )
 
     def to_json_dict(self) -> dict:
@@ -95,6 +100,8 @@ class MomentCertificate:
             "tail_bound": self.tail_bound,
             "tv": self.tv,
             "mela_bound": self.mela_bound,
+            "lp_iterations": self.lp_iterations,
+            "lp_duality_gap": self.lp_duality_gap,
             "valid": self.valid,
         }
 
@@ -112,8 +119,14 @@ def required_k_max(epsilon: float, k_max: int) -> int:
     return k
 
 
-def check_moments(sigma: SignedGridMeasure, epsilon: float, k_max: int) -> MomentCertificate:
-    """Recompute all moments by direct summation, independent of LP internals."""
+def check_moments(
+    sigma: SignedGridMeasure, epsilon: float, k_max: int, lp: Optional[LPResult] = None
+) -> MomentCertificate:
+    """Recompute all moments by direct summation, independent of LP internals.
+
+    When sigma comes from an LP, its iterations and duality gap ride along
+    and the certificate is valid only if the gap meets lp_solve's bound.
+    """
     first = sigma.moment(1) - 1.0
     odd = [abs(sigma.moment(2 * k + 1)) for k in range(1, k_max + 1)]
     max_odd = max(odd) if odd else 0.0
@@ -126,6 +139,8 @@ def check_moments(sigma: SignedGridMeasure, epsilon: float, k_max: int) -> Momen
         tail_bound=tail,
         tv=sigma.total_variation,
         mela_bound=mela_bound(epsilon),
+        lp_iterations=None if lp is None else lp.iterations,
+        lp_duality_gap=None if lp is None else lp.duality_gap,
     )
 
 
@@ -165,5 +180,5 @@ def solve_mela(
     w = res.x[:G] - res.x[G:]
     atoms = [(float(s[i]), float(w[i])) for i in np.flatnonzero(np.abs(w) > _WEIGHT_PRUNE)]
     measure = SignedGridMeasure.from_atoms(atoms)
-    cert = check_moments(measure, epsilon, k_max)
+    cert = check_moments(measure, epsilon, k_max, lp=res)
     return measure, cert

@@ -11,7 +11,12 @@ by the octagonal support function
 so r >= cos(pi/8) |phi_hat(n)| always holds and the true A-norm of the
 solution is within sec(pi/8) ~ 1.083 of the LP objective.  The modulus
 caps on F use the inscribed regular 8-gon (right-hand side eps cos(pi/8)),
-which guarantees |phi| <= eps at every constrained point.
+which guarantees |phi| <= eps at every constrained point.  The caps are
+posed on lifted variables P_t = Re phi(t) + eps, Q_t = Im phi(t) + eps
+(nonnegative wherever the caps hold), so the 8 |F| cap rows are 2-sparse
+and only the 2 |F| rows that define P and Q are dense; HiGHS solves the
+result by interior point with crossover.  Each indicator carries the LP's
+iteration count and duality gap.
 
 The telescoping series uses eps_k = e^{-kp} exactly; sup differences of
 consecutive indicators are bounded by 2 eps_k on the constraint set by
@@ -32,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSeparation, OutOfRange
-from .linprog import LP_MAX_ROWS, lp_solve
+from .linprog import LP_MAX_ENTRIES, dense_entries, lp_solve
 from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
@@ -216,6 +221,8 @@ class ApproxIndicator:
     phi: SparseTrigPoly
     a_norm: float
     lp_objective: float
+    lp_iterations: int
+    lp_duality_gap: float
 
     def __post_init__(self):
         lamK = self.K.values()
@@ -258,6 +265,8 @@ class ApproxIndicator:
             "epsilon": self.epsilon,
             "a_norm": self.a_norm,
             "lp_objective": self.lp_objective,
+            "lp_iterations": self.lp_iterations,
+            "lp_duality_gap": self.lp_duality_gap,
             "phi": self.phi.to_json_dict(),
         }
 
@@ -265,35 +274,45 @@ class ApproxIndicator:
 def _indicator_lp(
     lamK: np.ndarray, ts: np.ndarray, epsilon: float, ns: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's LP.
+    """Dense (c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's lifted LP.
 
-    Variables are the blocks (p, q, u, w, r), each indexed like ns.
+    Variables are the blocks (p, q, u, w, r), each indexed like ns, then
+    P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps for t in ts.  The
+    inscribed 8-gon lies in the eps-disk, so the shift keeps P, Q >= 0 on
+    every feasible point, and each modulus cap is a 2-entry row in (P, Q).
     """
-    N = ns.size
+    N, m = ns.size, ts.size
+    nv = 5 * N + 2 * m
     # tie-breaker: the optimal face of sum r_n is degenerate, and the
     # split-part penalty selects the vertex with least sum |x| + |y|, which
     # is also the least true A-norm one; it shifts the ceiling objective by
     # at most ~3e-4 relative, well under reporting tolerances
-    c = np.full(5 * N, 1e-4)
-    c[4 * N:] = 1.0
+    c = np.zeros(nv)
+    c[:4 * N] = 1e-4
+    c[4 * N:5 * N] = 1.0
 
-    # rows 3i..3i+2: the octagonal ceilings on coefficient i
-    ceilings = np.zeros((N, 3, 5, N))
-    ceilings[np.arange(N), :, :, np.arange(N)] = _OCTAGON
     arg = 2.0 * np.pi * ns * np.concatenate([lamK, ts])[:, None]
     cs, sn = np.cos(arg), np.sin(arg)
+    zs = np.zeros_like(cs)
+    # rows 2i, 2i+1: Re phi, Im phi at the i-th point of K then of F
+    re_im = np.hstack([cs, -cs, -sn, sn, zs, sn, -sn, cs, -cs, zs]).reshape(-1, 5 * N)
     k = lamK.size
-    # phi(lambda) = 1: real part, then imaginary part, per lambda in K
-    cK, sK, zK = cs[:k], sn[:k], np.zeros((k, N))
-    A_eq = np.hstack([cK, -cK, -sK, sK, zK, sK, -sK, cK, -cK, zK]).reshape(2 * k, 5 * N)
-    # inscribed-octagon modulus caps on F: rows 8t..8t+7 rotate phi(t) by j pi/4
-    cos_j, sin_j = _CAP_DIRS[:, :1], _CAP_DIRS[:, 1:]
-    pa = cos_j * cs[k:, None] + sin_j * sn[k:, None]
-    ua = sin_j * cs[k:, None] - cos_j * sn[k:, None]
-    caps = np.concatenate([pa, -pa, ua, -ua, np.zeros_like(pa)], axis=2).reshape(-1, 5 * N)
-    A_ub = np.vstack([ceilings.reshape(3 * N, 5 * N), caps])
-    b_ub = np.concatenate([np.zeros(3 * N), np.full(caps.shape[0], epsilon * _COS8)])
-    return c, A_eq, np.tile([1.0, 0.0], k), A_ub, b_ub
+    A_eq = np.zeros((2 * (k + m), nv))
+    A_eq[:, :5 * N] = re_im
+    # phi(lambda) = 1 on K; Re phi(t) - P_t = Im phi(t) - Q_t = -eps on F
+    A_eq[2 * k:, 5 * N:] = -np.eye(2 * m)
+    b_eq = np.concatenate([np.tile([1.0, 0.0], k), np.full(2 * m, -epsilon)])
+
+    # rows 3i..3i+2: the octagonal ceilings on coefficient i; then rows
+    # 8t..8t+7 of the caps, which rotate (P_t, Q_t) by j pi / 4
+    A_ub = np.zeros((3 * N + 8 * m, nv))
+    ceilings = A_ub[:3 * N, :5 * N].reshape(N, 3, 5, N)
+    ceilings[np.arange(N), :, :, np.arange(N)] = _OCTAGON
+    caps = A_ub[3 * N:, 5 * N:].reshape(m, 8, m, 2)
+    caps[np.arange(m), :, np.arange(m)] = _CAP_DIRS
+    b_caps = epsilon * _COS8 + epsilon * _CAP_DIRS.sum(axis=1)
+    b_ub = np.concatenate([np.zeros(3 * N), np.tile(b_caps, m)])
+    return c, A_eq, b_eq, A_ub, b_ub
 
 
 def approx_indicator(
@@ -306,11 +325,16 @@ def approx_indicator(
 
     minimize sum_n r_n  s.t.  octagonal ceilings on each coefficient,
     phi(lambda) = 1 for lambda in K (two real equalities), and 8-gon
-    modulus caps |phi(t)| <= eps for t in F_samples.
+    modulus caps |phi(t)| <= eps for t in F_samples.  The LP is lifted: two
+    equalities per t tie P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps to
+    the coefficients, and each of the 8 |F| caps is a 2-entry row in
+    (P_t, Q_t).  With N = 2 degree + 1 that is 3 N + 2 |K| + 10 |F| rows
+    over 5 N + 2 |F| variables, solved by lp_solve's interior point.
 
-    Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and at most
-    3 (2 degree + 1) + 2 |K| + 8 |F| <= 4096 LP rows, lp_solve's dense
-    limit (so degree <= 412 at |F| = 200 and |K| <= 8); larger requests are
+    Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and the
+    dense LP input, (rows + 1) x variables, within lp_solve's
+    LP_MAX_ENTRIES (2^25).  That admits degree 512 at |F| = 200 for every
+    |K| allowed there, and degree <= 366 at |F| = 499; larger requests are
     refused before any row is built.
     """
     if degree < 1 or degree > 512:
@@ -319,11 +343,12 @@ def approx_indicator(
         raise OutOfRange("K must hold at least one frequency")
     if len(K) + len(F_samples) > 500:
         raise OutOfRange("|K| + |F_samples| must be <= 500")
-    rows = 3 * (2 * degree + 1) + 2 * len(K) + 8 * len(F_samples)
-    if rows > LP_MAX_ROWS:
+    n_coef, n_f = 2 * degree + 1, len(F_samples)
+    entries = dense_entries(3 * n_coef + 2 * len(K) + 10 * n_f, 5 * n_coef + 2 * n_f)
+    if entries > LP_MAX_ENTRIES:
         raise OutOfRange(
-            f"degree {degree} with |F| = {len(F_samples)} needs {rows} LP rows, "
-            f"past the {LP_MAX_ROWS}-row solver envelope"
+            f"degree {degree} with |F| = {n_f} needs {entries} dense LP entries, "
+            f"past the {LP_MAX_ENTRIES}-entry solver envelope"
         )
     if not (0.0 < epsilon < 1.0):
         raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -346,7 +371,7 @@ def approx_indicator(
             f"no degree-{degree} polynomial separates K from F at eps={epsilon}"
         ) from exc
 
-    p, q, u, w, r = res.x.reshape(5, ns.size)
+    p, q, u, w, r = res.x[:5 * ns.size].reshape(5, ns.size)
     phi = SparseTrigPoly(1, {(int(n),): complex(x, y) for n, x, y in zip(ns, p - q, u - w)})
     return ApproxIndicator(
         K=K,
@@ -355,6 +380,8 @@ def approx_indicator(
         phi=phi,
         a_norm=a_norm_lattice(phi),
         lp_objective=float(np.sum(r)),
+        lp_iterations=res.iterations,
+        lp_duality_gap=res.duality_gap,
     )
 
 

@@ -68,6 +68,8 @@ def test_mela_writes_results_and_manifest(tmp_path):
     result = read_json(out / "mela.json")
     assert result["certificate"]["valid"] is True
     assert result["certificate"]["epsilon"] == 0.1353
+    assert result["certificate"]["lp_iterations"] > 0
+    assert result["certificate"]["lp_duality_gap"] <= 1e-8 * (1.0 + result["certificate"]["tv"])
     assert "atoms" in result["measure"]
     manifest = read_json(out / "manifest.json")
     assert manifest["command"] == "mela"
@@ -147,6 +149,9 @@ def test_projector_outputs(tmp_path, freq_files):
     series = read_json(out / "projector_series.json")
     assert set(series) == {"2.0"}
     assert len(series["2.0"]) == 2
+    for stage in series["2.0"]:
+        assert stage["lp_iterations"] > 0
+        assert 0.0 <= stage["lp_duality_gap"] <= 1e-8 * (1.0 + stage["lp_objective"])
 
 
 def test_riesz_support_and_profile(tmp_path):

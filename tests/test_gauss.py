@@ -394,7 +394,21 @@ def test_random_phase_single_atom_large_negative_z():
     spec = AtomicCircleMeasure.from_pairs([(0.7, 1.0)])
     x = G.simulate(G.RandomPhaseModel(spectrum=spec, T_len=20_000, seed=2))
     rep = G.gaussianity_test(x, 2, freqs=[0.7])
-    assert rep.z_scores[1] <= -5.0
+    # the bootstrap's se is ~2e-16 here, rounding of 400 equal values: no noise
+    assert rep.z_scores[1] is None
+    assert not rep.gaussian_consistent
+
+
+@pytest.mark.parametrize("T", [1_000, 5_000, 20_000])
+@pytest.mark.parametrize("seed", range(6))
+def test_rounding_level_se_reports_null_z(T, seed):
+    # one atom: se comes out exactly 0 or at rounding level (2-3e-16) by seed
+    spec = AtomicCircleMeasure.from_pairs([(0.3, 1.0)])
+    x = G.simulate(G.RandomPhaseModel(spectrum=spec, T_len=T, seed=seed))
+    rep = G.gaussianity_test(x, 2, freqs=[0.3])
+    assert rep.deviations[1] == pytest.approx(-1.0, abs=1e-12)
+    assert rep.z_scores == (0.0, None)
+    assert not rep.gaussian_consistent
 
 
 def test_noiseless_deviation_reports_null_z():

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helson_lab.errors import Infeasible, Unbounded
-from helson_lab.linprog import lp_solve
+from helson_lab import linprog
+from helson_lab.errors import Infeasible, OutOfRange, Unbounded
+from helson_lab.linprog import dense_entries, lp_solve
 
 
 def test_min_x_with_lower_bound():
@@ -106,3 +107,22 @@ def test_degenerate_program_terminates():
     c = -np.ones(n)
     res = lp_solve(c, A_ub=A, b_ub=b)
     assert res.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_guard_counts_dense_entries(monkeypatch):
+    # (rows + 1) x columns, c included: 9 rows over 10 columns fit 100 entries
+    monkeypatch.setattr(linprog, "LP_MAX_ENTRIES", 100)
+    c = np.ones(10)
+    res = lp_solve(c, A_eq=np.ones((4, 10)), b_eq=np.ones(4), A_ub=np.eye(5, 10), b_ub=np.ones(5))
+    assert dense_entries(9, 10) == 100 and res.objective == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(OutOfRange, match="10 x 10 exceeds the dense solver envelope"):
+        lp_solve(c, A_eq=np.ones((5, 10)), b_eq=np.ones(5), A_ub=np.eye(5, 10), b_ub=np.ones(5))
+
+
+def test_interior_point_result_is_a_reproducible_vertex():
+    rng = np.random.default_rng(7)
+    c, A, b, x_star, _ = _planted_lp(rng, 12, 30)
+    a, b2 = lp_solve(c, A_eq=A, b_eq=b), lp_solve(c, A_eq=A, b_eq=b)
+    assert a.x.tobytes() == b2.x.tobytes() and a.iterations == b2.iterations > 0
+    # crossover ends on the planted basis: exact zeros off it
+    assert np.count_nonzero(a.x) == 12 and np.array_equal(a.x != 0, x_star != 0)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helson_lab.errors import OutOfRange
+from helson_lab.linprog import GAP_TOL
 from helson_lab.mela import (
     MomentCertificate,
     SignedGridMeasure,
@@ -105,3 +107,19 @@ def test_json_round_trip():
     assert back == measure
     d = cert.to_json_dict()
     assert d["valid"] == cert.valid
+
+
+def test_certificate_carries_lp_evidence(solved):
+    for eps, (measure, cert) in solved.items():
+        assert cert.lp_iterations > 0
+        assert 0.0 <= cert.lp_duality_gap <= GAP_TOL * (1.0 + cert.tv)
+        d = cert.to_json_dict()
+        assert (d["lp_iterations"], d["lp_duality_gap"]) == (cert.lp_iterations, cert.lp_duality_gap)
+        # a measure checked on its own carries no LP evidence, and needs none
+        plain = check_moments(measure, eps, cert.k_max)
+        assert plain.lp_iterations is None and plain.lp_duality_gap is None
+        assert plain.valid == cert.valid
+    measure, cert = solved[0.5]
+    assert cert.valid
+    loose = dataclasses.replace(cert, lp_duality_gap=2.0 * GAP_TOL * (1.0 + cert.tv))
+    assert not loose.valid and loose.to_json_dict()["valid"] is False

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helson_lab import projector
 from helson_lab.errors import InfeasibleSeparation, OutOfRange
-from helson_lab.linprog import LP_MAX_ROWS
+from helson_lab.linprog import GAP_TOL, LP_MAX_ENTRIES, dense_entries, lp_solve
 from helson_lab.projector import (
     RotationModel,
     apply_projector,
@@ -197,24 +199,58 @@ def _grid_kf(n_k: int, n_f: int):
     return K, F
 
 
+def _refuse_build(monkeypatch) -> list:
+    # stands in for the LP builder: records the request, builds nothing
+    built: list = []
+
+    def fake(lamK, ts, epsilon, ns):
+        built.append((ns.size, ts.size))
+        raise _Captured
+
+    monkeypatch.setattr(projector, "_indicator_lp", fake)
+    return built
+
+
+@pytest.mark.parametrize("degree,n_k,n_f", [
+    (16, 1, 499),   # 5091 lifted rows: past the old 4096-row limit
+    (412, 8, 200),  # the old row limit's largest degree at |F| = 200
+    (512, 2, 200),  # the degree-512 envelope corner
+    (512, 300, 200),
+    (512, 500, 0),
+    (366, 1, 499),  # the largest degree admitted at |F| = 499
+])
+def test_indicator_entry_guard_admits(monkeypatch, degree, n_k, n_f):
+    built = _refuse_build(monkeypatch)
+    K = FiniteFrequencySet(tuple(0.25 * i / n_k for i in range(n_k)))
+    F = list(np.linspace(0.375, 0.875, n_f))
+    with pytest.raises(_Captured):
+        approx_indicator(K, F, 0.1, degree=degree)
+    assert built == [(2 * degree + 1, n_f)]
+
+
 def test_indicator_row_envelope_matches_solver(monkeypatch):
+    # the lifted LP has 3 N + 2 |K| + 10 |F| rows over 5 N + 2 |F| columns,
+    # N = 2 degree + 1; both guards measure it by dense entries
     seen = _capture_lp(monkeypatch)
     K = FiniteFrequencySet((Fraction(0),))
-    F = list(np.linspace(0.25, 0.75, 499))
-    # 3 (2 * 16 + 1) + 2 * 1 + 8 * 499 = 4093 rows: built and handed over
+    F = list(np.linspace(0.25, 0.75, 40))
     with pytest.raises(_Captured):
         approx_indicator(K, F, 0.1, degree=16)
     rows = seen["A_eq"].shape[0] + seen["A_ub"].shape[0]
-    assert rows == 3 * (2 * 16 + 1) + 2 * 1 + 8 * 499 <= LP_MAX_ROWS
-    # one more degree needs 4099 rows: refused before any row is built
-    seen.clear()
-    with pytest.raises(OutOfRange, match=r"degree 17 with \|F\| = 499"):
-        approx_indicator(K, F, 0.1, degree=17)
-    assert not seen
-    K2, F2 = _grid_kf(2, 200)
-    with pytest.raises(OutOfRange, match=r"degree 512 with \|F\| = 200"):
+    assert rows == 3 * 33 + 2 * 1 + 10 * 40
+    assert seen["c"].size == seen["A_eq"].shape[1] == seen["A_ub"].shape[1] == 5 * 33 + 2 * 40
+    assert all(isinstance(seen[k], np.ndarray) for k in ("c", "A_eq", "b_eq", "A_ub", "b_ub"))
+    # one degree past the largest admitted at |F| = 499: refused before any
+    # row is built, and its entry count is past what lp_solve admits
+    built = _refuse_build(monkeypatch)
+    F = list(np.linspace(0.25, 0.75, 499))
+    with pytest.raises(OutOfRange, match=r"degree 367 with \|F\| = 499"):
+        approx_indicator(K, F, 0.1, degree=367)
+    assert dense_entries(3 * 735 + 2 + 10 * 499, 5 * 735 + 2 * 499) > LP_MAX_ENTRIES
+    K2, F2 = _grid_kf(1, 283)
+    with pytest.raises(OutOfRange, match=r"degree 512 with \|F\| = 283"):
         approx_indicator(K2, F2, 0.1, degree=512)
-    assert not seen
+    assert not built
 
 
 _COS8 = math.cos(math.pi / 8.0)
@@ -261,11 +297,63 @@ def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
     K, F = _grid_kf(n_k, n_f)
     with pytest.raises(_Captured):
         approx_indicator(K, F, 0.05, degree=degree)
-    want = _loop_lp(K.values(), np.array(F), 0.05, degree)
-    for name, ref in zip(("c", "A_eq", "b_eq", "A_ub", "b_ub"), want):
-        got = np.asarray(seen[name])
-        assert got.dtype == ref.dtype and got.shape == ref.shape, name
-        assert np.array_equal(got, ref), name
+    c, A_eq, b_eq, A_ub, b_ub = (seen[k] for k in ("c", "A_eq", "b_eq", "A_ub", "b_ub"))
+    rc, rA_eq, rb_eq, rA_ub, rb_ub = _loop_lp(K.values(), np.array(F), 0.05, degree)
+    N, k, m = 2 * degree + 1, n_k, n_f
+    nv = 5 * N + 2 * m
+    assert c.shape == (nv,) and A_eq.shape == (2 * k + 2 * m, nv) and A_ub.shape == (3 * N + 8 * m, nv)
+    # objective, K equalities and octagonal ceilings: the oracle's blocks, byte for byte
+    assert np.array_equal(c[:5 * N], rc) and not c[5 * N:].any()
+    assert np.array_equal(A_eq[:2 * k, :5 * N], rA_eq) and not A_eq[:2 * k, 5 * N:].any()
+    assert np.array_equal(b_eq[:2 * k], rb_eq)
+    assert np.array_equal(A_ub[:3 * N, :5 * N], rA_ub[:3 * N]) and not A_ub[:3 * N, 5 * N:].any()
+    assert np.array_equal(b_ub[:3 * N], rb_ub[:3 * N])
+    # Re phi(t) - P_t = Im phi(t) - Q_t = -eps on F
+    re_im, lift = A_eq[2 * k:, :5 * N], A_eq[2 * k:, 5 * N:]
+    assert np.array_equal(lift, -np.eye(2 * m)) and np.all(b_eq[2 * k:] == -0.05)
+    # each cap is 2-sparse in (P_t, Q_t); composed with the Re/Im rows it is
+    # the oracle's dense cap row, its right-hand side shifted by the lift
+    caps, b_caps = A_ub[3 * N:], b_ub[3 * N:]
+    assert not caps[:, :5 * N].any()
+    for t in range(m):
+        rows = caps[8 * t:8 * t + 8]
+        assert not np.delete(rows, [5 * N + 2 * t, 5 * N + 2 * t + 1], axis=1).any()
+        a, b = rows[:, 5 * N + 2 * t, None], rows[:, 5 * N + 2 * t + 1, None]
+        composed = a * re_im[2 * t] + b * re_im[2 * t + 1]
+        assert np.array_equal(composed, rA_ub[3 * N + 8 * t:3 * N + 8 * t + 8])
+        shifted = b_caps[8 * t:8 * t + 8] - 0.05 * (a + b).ravel()
+        assert np.allclose(shifted, rb_ub[3 * N + 8 * t:3 * N + 8 * t + 8], rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("degree,n_k,n_f,eps", [
+    (24, 8, 24, 0.05), (32, 2, 30, 0.1), (40, 3, 40, 0.05), (12, 1, 8, 0.01), (1, 1, 0, 0.05), (9, 3, 0, 0.05),
+])
+def test_lifted_ipm_optimum_matches_oracle_simplex(degree, n_k, n_f, eps):
+    K, F = _grid_kf(n_k, n_f)
+    lamK, ts = K.values(), np.array(F)
+    c, A_eq, b_eq, A_ub, b_ub = projector._indicator_lp(lamK, ts, eps, np.arange(-degree, degree + 1))
+    rc, rA_eq, rb_eq, rA_ub, rb_ub = _loop_lp(lamK, ts, eps, degree)
+    res = lp_solve(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+    ref = linprog(rc, A_ub=rA_ub, b_ub=rb_ub, A_eq=rA_eq, b_eq=rb_eq, bounds=(0.0, None), method="highs-ds")
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert res.duality_gap <= GAP_TOL * (1.0 + abs(res.objective))
+    x = res.x[:rc.size]
+    # the lifted solution satisfies every one of the oracle's rows
+    assert np.max(rA_ub @ x - rb_ub) <= 1e-9
+    assert np.max(np.abs(rA_eq @ x - rb_eq)) <= 1e-9
+
+
+def test_indicator_degree128_envelope():
+    # |K| = 2, |F| = 200 at the CLI's default degree: one lifted IPM solve
+    K, F = _grid_kf(2, 200)
+    t0 = time.perf_counter()
+    ind = approx_indicator(K, F, 0.1, degree=128)
+    elapsed = time.perf_counter() - t0
+    assert 1.0 - 1e-6 <= ind.a_norm <= ind.lp_objective / _COS8 + 1e-8
+    assert ind.lp_iterations > 0
+    assert ind.lp_duality_gap <= GAP_TOL * (1.0 + ind.lp_objective)
+    assert elapsed < 60.0  # ~2 s measured; the dense-cap LP under HiGHS simplex took ~120 s
 
 
 def test_indicator_json_round_trip(golden_inds):
