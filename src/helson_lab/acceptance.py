@@ -176,7 +176,7 @@ def check_projector_telescope() -> dict:
     series = projector_series(K, F, p=2.0, k_terms=3, degree=_DEGREE)
     exact, kept = apply_projector(model, K, tol_match=1e-9)
     norm = model.l2_norm()
-    samples = list(K.values()) + list(F)
+    samples = np.concatenate([K.values(), F])[:, None]
     rows = []
     ok = True
     prev = None
@@ -186,10 +186,7 @@ def check_projector_telescope() -> dict:
         stage_ok = err <= ind.epsilon * norm
         sup_ok = True
         if prev is not None:
-            diff = max(
-                abs(prev.phi.evaluate(np.array([[x]]))[0] - ind.phi.evaluate(np.array([[x]]))[0])
-                for x in samples
-            )
+            diff = np.max(np.abs(prev.phi.evaluate(samples) - ind.phi.evaluate(samples)))
             sup_ok = diff <= 2.0 * prev.epsilon + 1e-6
         ok = ok and bool(stage_ok and sup_ok)
         rows.append(

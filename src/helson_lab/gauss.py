@@ -31,9 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange
-from .torus import AtomicCircleMeasure, golden_min
+from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _synthesize, golden_min
 
-_CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 _BATCHES = 32  # batch-means blocks for time standard errors
 _SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
 
@@ -98,60 +97,6 @@ class RandomPhaseModel:
         return np.exp(2j * np.pi * rng.random(n_atoms))
 
 
-def _block_grid(T_len: int) -> Tuple[int, int]:
-    """(B, number of blocks) for n = b*B + k with B = ceil(sqrt(T_len)), 0 <= k < B."""
-    B = math.isqrt(T_len - 1) + 1
-    return B, -(-T_len // B)
-
-
-def _block_phasors(lam: np.ndarray, T_len: int):
-    """Phasor blocks of the atoms lam over n < T_len, one atom chunk at a time.
-
-    Yields (atom slice, base, blocks) with base[k, j] = e^{2 pi i k lam_j}
-    (B x A_chunk) and blocks[b, j] = e^{2 pi i b B lam_j} (blocks x A_chunk),
-    so e^{2 pi i n lam_j} = blocks[b, j] * base[k, j] and every sum over n
-    becomes one matrix product per chunk with O(sqrt(T_len) A) exponentials.
-    Phases are reduced mod 1 before the exponential, as in a direct sum;
-    chunks keep B * A_chunk <= _CHUNK_ELEMS.
-    """
-    B, n_blocks = _block_grid(T_len)
-    ks = np.arange(B, dtype=float)
-    bBs = np.arange(n_blocks, dtype=float) * B
-    step = max(1, _CHUNK_ELEMS // B)
-    for j0 in range(0, lam.size, step):
-        sl = slice(j0, j0 + step)
-        base = np.exp(2j * np.pi * (np.outer(ks, lam[sl]) % 1.0))
-        blocks = np.exp(2j * np.pi * (np.outer(bBs, lam[sl]) % 1.0))
-        yield sl, base, blocks
-
-
-def _synthesize(lam: np.ndarray, amps: np.ndarray, T_len: int) -> np.ndarray:
-    """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len."""
-    B, n_blocks = _block_grid(T_len)
-    out = np.zeros((n_blocks, B), dtype=complex)  # row b holds n = b*B .. b*B + B - 1
-    for sl, base, blocks in _block_phasors(lam, T_len):
-        out += (blocks * amps[sl]) @ base.T
-    return out.ravel()[:T_len]
-
-
-def _amplitudes_at(seq: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """(1/T) sum_n seq_n e^{-2 pi i n lam} for every lam: the adjoint of _synthesize."""
-    T = seq.size
-    B, n_blocks = _block_grid(T)
-    rows = np.zeros(n_blocks * B, dtype=complex)
-    rows[:T] = seq
-    rows = rows.reshape(n_blocks, B)
-    out = np.empty(lams.size, dtype=complex)
-    for sl, base, blocks in _block_phasors(lams, T):
-        out[sl] = np.sum((rows @ base.conj()) * blocks.conj(), axis=0) / T
-    return out
-
-
-def _amplitude_at(seq: np.ndarray, lam: float) -> complex:
-    """(1/T) sum_n seq_n e^{-2 pi i n lam} at one frequency."""
-    return complex(_amplitudes_at(seq, np.array([float(lam)]))[0])
-
-
 def _model_amplitudes(model) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted frequencies with per-atom complex amplitudes sqrt(w_j) xi_j.
 
@@ -166,7 +111,8 @@ def _model_amplitudes(model) -> Tuple[np.ndarray, np.ndarray]:
 def simulate(model) -> np.ndarray:
     """Length-T_len realization; deterministic in model.seed."""
     lam, amps = _model_amplitudes(model)
-    return _synthesize(lam, amps, _check_len(model.T_len))
+    T = _check_len(model.T_len)
+    return _synthesize(_block_phasors(lam, T), amps, T)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +218,7 @@ def spectral_process(model, thresholds: Sequence[float]) -> SpectralProcessFamil
         mask = (lam >= a) & (lam < b)
         if not np.any(mask):
             return np.zeros(T, dtype=complex)
-        return _synthesize(lam[mask], amps[mask], T)
+        return _synthesize(_block_phasors(lam[mask], T), amps[mask], T)
 
     f_vals = []
     acc = window_sum(0.0, ts[0])
@@ -591,12 +537,13 @@ def _detect_atom_powers(seq: np.ndarray, max_atoms: int = 64) -> Tuple[np.ndarra
         if work[b] < 1e-4 * total or work[b] <= 0:
             break
         lo, hi = (b - 0.6) / T, (b + 0.6) / T
-        lam = golden_min(lambda x: -abs(_amplitude_at(resid, x)), lo, hi, iters=28) % 1.0
-        amp = _amplitude_at(resid, lam)
+        peak = lambda x: -abs(_amplitudes_at(resid, np.array([x]))[0])  # noqa: E731
+        lam = golden_min(peak, lo, hi, iters=28) % 1.0
+        amp = complex(_amplitudes_at(resid, np.array([lam]))[0])
         found_lam.append(lam)
         found_w.append(abs(amp) ** 2)
         spec -= amp * _atom_spectrum(lam, T)
-        resid -= _synthesize(np.array([lam]), np.array([amp]), T)
+        resid -= _synthesize(_block_phasors(np.array([lam]), T), np.array([amp]), T)
         notch[(b + np.arange(-2, 3)) % T] = True
     return np.array(found_lam), np.array(found_w)
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
     SparseTrigPoly,
+    _mu_hat_scan,
     a_norm_lattice,
     golden_min,
 )
@@ -87,23 +87,6 @@ class HelsonEstimate:
         }
 
 
-class _SupScan:
-    """max_{|g| <= g_range} |mu_hat(g)| for weights on fixed frequencies."""
-
-    def __init__(self, lam: np.ndarray, g_range: int):
-        self.lam = lam
-        self.gs = np.arange(-g_range, g_range + 1)
-        self.E = np.exp(2j * np.pi * np.outer(self.gs, lam))
-
-    def value_and_argmax(self, w: np.ndarray) -> Tuple[float, int]:
-        mods = np.abs(self.E @ w)
-        i = int(np.argmax(mods))
-        return float(mods[i]), int(self.gs[i])
-
-    def value(self, w: np.ndarray) -> float:
-        return float(np.max(np.abs(self.E @ w)))
-
-
 def _normalize_l1(w: np.ndarray) -> np.ndarray:
     s = np.sum(np.abs(w))
     if s < 1e-12:
@@ -112,7 +95,7 @@ def _normalize_l1(w: np.ndarray) -> np.ndarray:
     return w / s
 
 
-def _polish(scan: _SupScan, w: np.ndarray, sweeps: int = 4) -> np.ndarray:
+def _polish(sup: Callable[[np.ndarray], float], w: np.ndarray, sweeps: int = 4) -> np.ndarray:
     """Coordinate descent: per-atom phase search, then pairwise mass transfer."""
     k = w.size
     for _ in range(sweeps):
@@ -124,13 +107,13 @@ def _polish(scan: _SupScan, w: np.ndarray, sweeps: int = 4) -> np.ndarray:
             def phase_obj(phi, j=j, mag=mag):
                 trial = w.copy()
                 trial[j] = mag * np.exp(1j * phi)
-                return scan.value(trial)
+                return sup(trial)
 
             coarse = np.linspace(0.0, 2.0 * np.pi, 33)[:-1]
             best_phi = min(coarse, key=phase_obj)
             span = 2.0 * np.pi / 32
             phi = golden_min(phase_obj, best_phi - span, best_phi + span)
-            if phase_obj(phi) <= scan.value(w):
+            if phase_obj(phi) <= sup(w):
                 w[j] = mag * np.exp(1j * phi)
         for i in range(k):
             for j in range(i + 1, k):
@@ -139,14 +122,14 @@ def _polish(scan: _SupScan, w: np.ndarray, sweeps: int = 4) -> np.ndarray:
                     trial = w.copy()
                     trial[i] = (abs(w[i]) + t) * np.exp(1j * np.angle(w[i]))
                     trial[j] = (abs(w[j]) - t) * np.exp(1j * np.angle(w[j]))
-                    return scan.value(trial)
+                    return sup(trial)
 
                 lo, hi = -abs(w[i]), abs(w[j])
                 grid = np.linspace(lo, hi, 17)
                 t0 = min(grid, key=mass_obj)
                 step = (hi - lo) / 16 if hi > lo else 0.0
                 t = golden_min(mass_obj, max(lo, t0 - step), min(hi, t0 + step)) if step else 0.0
-                if mass_obj(t) < scan.value(w) - 1e-15:
+                if mass_obj(t) < sup(w) - 1e-15:
                     w[i] = (abs(w[i]) + t) * np.exp(1j * np.angle(w[i]))
                     w[j] = (abs(w[j]) - t) * np.exp(1j * np.angle(w[j]))
         w = _normalize_l1(w)
@@ -162,20 +145,27 @@ def helson_constant(
     multi-start projected subgradient descent (500 iterations each, step
     1/sqrt(iter)) plus coordinate polish; returns the best value found and
     its witness.  Upper-bounds the true constant restricted to this g
-    window; not a certificate.
+    window; not a certificate.  Envelope: 1 <= |K| <= 8,
+    0 <= g_range <= 1e6, restarts >= 1; each scan of mu_hat costs
+    O(g_range |K|), so the time grows linearly in g_range.
     """
     k = len(K)
     if k == 0 or k > 8:
         raise OutOfRange(f"|K| must be in 1..8, got {k}")
     if g_range < 0 or g_range > 10 ** 6:
         raise OutOfRange(f"g_range must be in 0..1e6, got {g_range}")
+    if restarts < 1:
+        raise OutOfRange(f"restarts must be >= 1, got {restarts}")
     lam = K.values()
-    scan = _SupScan(lam, g_range)
-    rng = np.random.default_rng(seed)
+    mu_hat = _mu_hat_scan(lam, g_range)
 
+    def sup(w: np.ndarray) -> float:
+        return float(np.max(np.abs(mu_hat(w))))
+
+    rng = np.random.default_rng(seed)
     best_w: Optional[np.ndarray] = None
     best_val = np.inf
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         if r == 0:
             w = np.ones(k, dtype=complex) / k
         elif r == 1:
@@ -184,28 +174,29 @@ def helson_constant(
             w = rng.normal(size=k) + 1j * rng.normal(size=k)
         w = _normalize_l1(w.astype(complex))
         for it in range(1, 501):
-            val, g_star = scan.value_and_argmax(w)
-            z = complex(np.sum(w * np.exp(2j * np.pi * g_star * lam)))
+            vals = mu_hat(w)
+            i = int(np.argmax(np.abs(vals)))
+            z = vals[i]
             if abs(z) < 1e-15:
                 break
-            u = z / abs(z)
-            grad = u * np.conj(np.exp(2j * np.pi * g_star * lam))
+            grad = (z / abs(z)) * np.exp(-2j * np.pi * (i - g_range) * lam)
             w = _normalize_l1(w - (0.25 / math.sqrt(it)) * grad)
-        w = _polish(scan, w)
-        val = scan.value(w)
+        w = _polish(sup, w)
+        val = sup(w)
         if val < best_val:
             best_val, best_w = val, w.copy()
 
     best_w = _normalize_l1(best_w)
-    alpha, g_arg = scan.value_and_argmax(best_w)
+    mods = np.abs(mu_hat(best_w))
+    i = int(np.argmax(mods))
     witness = AtomicCircleMeasure(tuple(zip(K.freqs, best_w.tolist())))
     return HelsonEstimate(
         K=K,
         g_range=int(g_range),
         restarts=int(restarts),
-        alpha_upper=float(alpha),
+        alpha_upper=float(mods[i]),
         witness_measure=witness,
-        argmax_g=g_arg,
+        argmax_g=i - int(g_range),
     )
 
 
@@ -537,11 +528,5 @@ def lp_norm_growth(
 
 
 def frequency_set_inverse(K: FiniteFrequencySet) -> FiniteFrequencySet:
-    """K^{-1}: negate each frequency on the circle."""
-    inv = []
-    for f in K.freqs:
-        if isinstance(f, Fraction):
-            inv.append((-f) % 1)
-        else:
-            inv.append((-float(f)) % 1.0)
-    return FiniteFrequencySet(tuple(inv))
+    """K^{-1}: negate each frequency on the circle (the constructor reduces mod 1)."""
+    return FiniteFrequencySet(tuple(-f for f in K.freqs))

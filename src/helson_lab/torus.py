@@ -5,6 +5,9 @@ lattice Z^n, read as p(t) = sum_m c_m e^{2 pi i m.t} on the torus T^n.
 An AtomicCircleMeasure is a finite list of weighted atoms on the circle,
 with frequencies in [0,1) as fractions of a full turn.  The Fourier
 orientation used everywhere is mu_hat(g) = sum_j w_j e^{+2 pi i g lambda_j}.
+Every sum of that shape over a run of integers (the sequences in gauss, the
+Helson scan in projector) goes through one blocked exponential-sum kernel,
+_synthesize, and its adjoint _amplitudes_at.
 
 Frequencies coming from rational input stay exact (fractions.Fraction);
 floats are quarantined: they can exhibit near-dependences but never certify
@@ -32,6 +35,7 @@ FLOAT_FREQ_TOL = 1e-12   # distinctness tolerance for float frequencies
 # cap on scratch matrix entries for chunked evaluation
 _EVAL_CHUNK_ENTRIES = 4_000_000
 _LATTICE_CHUNK = 1 << 16  # coefficient vectors per enumeration block
+_CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 
 
 def freq_value(f: Frequency) -> float:
@@ -348,11 +352,76 @@ def l1_norm_monte_carlo(p, samples: int, seed: int) -> Tuple[float, float]:
     return mean, math.sqrt(var / samples)
 
 
-def fourier_coeff(mu: AtomicCircleMeasure, g: int) -> complex:
-    """mu_hat(g) = sum_j w_j e^{2 pi i g lambda_j}."""
-    lam = mu.frequencies()
-    w = mu.weights()
-    return complex(np.sum(w * np.exp(2j * np.pi * g * lam)))
+# ---------------------------------------------------------------------------
+# exponential sums over a run of integers
+# ---------------------------------------------------------------------------
+
+def _block_grid(T_len: int) -> Tuple[int, int]:
+    """(B, number of blocks) for n = b*B + k with B = ceil(sqrt(T_len)), 0 <= k < B."""
+    B = math.isqrt(T_len - 1) + 1
+    return B, -(-T_len // B)
+
+
+def _block_phasors(lam: np.ndarray, T_len: int):
+    """Phasor blocks of the atoms lam over n < T_len, one atom chunk at a time.
+
+    Yields (atom slice, base, blocks) with base[k, j] = e^{2 pi i k lam_j}
+    (B x A_chunk) and blocks[b, j] = e^{2 pi i b B lam_j} (blocks x A_chunk),
+    so e^{2 pi i n lam_j} = blocks[b, j] * base[k, j] and every sum over n
+    becomes one matrix product per chunk with O(sqrt(T_len) A) exponentials.
+    Phases are reduced mod 1 before the exponential, as in a direct sum;
+    chunks keep B * A_chunk <= _CHUNK_ELEMS.
+    """
+    B, n_blocks = _block_grid(T_len)
+    ks = np.arange(B, dtype=float)
+    bBs = np.arange(n_blocks, dtype=float) * B
+    step = max(1, _CHUNK_ELEMS // B)
+    for j0 in range(0, lam.size, step):
+        sl = slice(j0, j0 + step)
+        base = np.exp(2j * np.pi * (np.outer(ks, lam[sl]) % 1.0))
+        blocks = np.exp(2j * np.pi * (np.outer(bBs, lam[sl]) % 1.0))
+        yield sl, base, blocks
+
+
+def _synthesize(chunks, amps: np.ndarray, T_len: int) -> np.ndarray:
+    """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len.
+
+    chunks are _block_phasors(lam, T_len) for at least one atom: the
+    generator for one sum, or a list of it kept to sum many amplitude
+    vectors on fixed atoms.  The first chunk's product is the result, so a
+    one-chunk sum allocates no other (n_blocks, B) array.
+    """
+    parts = ((blocks * amps[sl]) @ base.T for sl, base, blocks in chunks)
+    out = next(parts)  # row b holds n = b*B .. b*B + B - 1
+    for part in parts:
+        out += part
+    return out.ravel()[:T_len]
+
+
+def _mu_hat_scan(lam: np.ndarray, g_range: int) -> Callable[[np.ndarray], np.ndarray]:
+    """w -> mu_hat(g) = sum_j w_j e^{2 pi i g lam_j} for g = -g_range..g_range.
+
+    mu_hat(g) is the kernel's synthesis at n = g + g_range of the weights
+    w_j e^{-2 pi i g_range lam_j}; the phasor chunks of lam are built once
+    and reused by every scan, so memory is O(sqrt(g_range) |K|).
+    """
+    n = 2 * g_range + 1
+    chunks = list(_block_phasors(lam, n))
+    shift = np.exp(-2j * np.pi * ((g_range * lam) % 1.0))
+    return lambda w: _synthesize(chunks, w * shift, n)
+
+
+def _amplitudes_at(seq: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """(1/T) sum_n seq_n e^{-2 pi i n lam} for every lam: the adjoint of _synthesize."""
+    T = seq.size
+    B, n_blocks = _block_grid(T)
+    rows = np.zeros(n_blocks * B, dtype=complex)
+    rows[:T] = seq
+    rows = rows.reshape(n_blocks, B)
+    out = np.empty(lams.size, dtype=complex)
+    for sl, base, blocks in _block_phasors(lams, T):
+        out[sl] = np.sum((rows @ base.conj()) * blocks.conj(), axis=0) / T
+    return out
 
 
 def dense_fft_oracle(p: SparseTrigPoly, grid_per_dim: int) -> np.ndarray:

@@ -133,6 +133,15 @@ def test_helson_constant_singleton(tmp_path):
     assert abs(est["alpha_upper"] - 1.0) <= 1e-6
 
 
+def test_helson_constant_zero_restarts_exits_two(tmp_path, capsys):
+    kpath = write_json(tmp_path / "K.json", {"freqs": [0.3]})
+    out = tmp_path / "run"
+    rc = main(["helson-constant", "--K", kpath, "--grange", "20", "--restarts", "0", "--out", str(out)])
+    assert rc == 2
+    assert "restarts" in capsys.readouterr().err
+    assert not (out / "helson_constant.json").exists()
+
+
 def test_projector_outputs(tmp_path, freq_files):
     kf, ff = freq_files
     out = tmp_path / "run"

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helson_lab import gauss as G
+from helson_lab import torus
 from helson_lab.errors import OutOfRange
 from helson_lab.torus import AtomicCircleMeasure
 
@@ -103,9 +104,13 @@ _BIG_CASE = (_LAM64, _AMPS64, 200_000)
 def test_blocked_synthesis_matches_direct_sum(case):
     lam, amps, T_len = case
     ref = _direct_synthesis(lam, amps, T_len)
-    got = G._synthesize(lam, amps, T_len)
+    chunks = list(torus._block_phasors(lam, T_len))
+    got = torus._synthesize(iter(chunks), amps, T_len)
     assert got.shape == (T_len,)
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # a list of chunks kept for reuse gives the same bytes, every time
+    assert np.array_equal(torus._synthesize(chunks, amps, T_len), got)
+    assert np.array_equal(torus._synthesize(chunks, amps, T_len), got)
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,10 +121,9 @@ def test_blocked_analysis_matches_direct_sum(case, seed):
     rng = np.random.default_rng(seed)
     seq = rng.standard_normal(T_len) + 1j * rng.standard_normal(T_len)
     ref = np.array([_direct_amplitude(seq, l) for l in lam])
-    got = G._amplitudes_at(seq, lam)
+    got = torus._amplitudes_at(seq, lam)
     tol = 1e-9 * np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= tol
-    assert abs(G._amplitude_at(seq, lam[0]) - ref[0]) <= tol
 
 
 def test_atom_chunking_matches_one_block(monkeypatch):
@@ -127,15 +131,15 @@ def test_atom_chunking_matches_one_block(monkeypatch):
     lam = rng.random(7)
     amps = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     T_len = 5_000  # B = 71
-    seq = G._synthesize(lam, amps, T_len)
-    ana = G._amplitudes_at(seq, lam)
-    monkeypatch.setattr(G, "_CHUNK_ELEMS", 3 * 71)  # chunks of 3, 3 and 1 atoms
-    assert [sl for sl, _, _ in G._block_phasors(lam, T_len)] == [
+    seq = torus._synthesize(torus._block_phasors(lam, T_len), amps, T_len)
+    ana = torus._amplitudes_at(seq, lam)
+    monkeypatch.setattr(torus, "_CHUNK_ELEMS", 3 * 71)  # chunks of 3, 3 and 1 atoms
+    assert [sl for sl, _, _ in torus._block_phasors(lam, T_len)] == [
         slice(0, 3), slice(3, 6), slice(6, 9)
     ]
-    chunked = G._synthesize(lam, amps, T_len)
+    chunked = torus._synthesize(torus._block_phasors(lam, T_len), amps, T_len)
     assert np.max(np.abs(chunked - seq)) <= 1e-12 * np.max(np.abs(seq))
-    assert np.max(np.abs(G._amplitudes_at(seq, lam) - ana)) <= 1e-12 * np.max(np.abs(ana))
+    assert np.max(np.abs(torus._amplitudes_at(seq, lam) - ana)) <= 1e-12 * np.max(np.abs(ana))
 
 
 def test_simulate_deterministic_in_seed():
@@ -490,7 +494,7 @@ def _detect_reference(seq, max_atoms=64):
     total = float(np.sum(np.abs(spec) ** 2))
     notch = np.zeros(T, dtype=bool)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    objective = lambda x: -abs(G._amplitude_at(resid, x))  # noqa: E731
+    objective = lambda x: -abs(torus._amplitudes_at(resid, np.array([x]))[0])  # noqa: E731
     found_lam, found_w = [], []
     for _ in range(max_atoms):
         work = np.abs(spec) ** 2
@@ -511,7 +515,7 @@ def _detect_reference(seq, max_atoms=64):
                 x2 = lo + inv * (hi - lo)
                 f2 = objective(x2)
         lam = (0.5 * (lo + hi)) % 1.0
-        amp = G._amplitude_at(resid, lam)
+        amp = complex(torus._amplitudes_at(resid, np.array([lam]))[0])
         found_lam.append(lam)
         found_w.append(abs(amp) ** 2)
         # Dirichlet kernel: fft of e^{2 pi i n lam} over n < T, divided by T
@@ -520,7 +524,7 @@ def _detect_reference(seq, max_atoms=64):
         den = T * np.sin(np.pi * d)
         ratio = np.divide(np.sin(np.pi * T * d), den, out=np.ones(T), where=den != 0)
         spec -= amp * (ratio * np.exp(1j * np.pi * (T - 1) * d))
-        resid -= G._synthesize(np.array([lam]), np.array([amp]), T)
+        resid -= torus._synthesize(torus._block_phasors(np.array([lam]), T), np.array([amp]), T)
         for off in range(-2, 3):
             notch[(b + off) % T] = True
     return np.array(found_lam), np.array(found_w)
@@ -535,7 +539,7 @@ def test_atom_power_detection_matches_inline_search(cls):
         assert lam.size == 8  # the eight atoms, no leakage side lobes
         assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
         order = np.argsort(lam)
-        given = np.array([abs(G._amplitude_at(x, l)) ** 2 for l in LAM8])
+        given = np.abs(torus._amplitudes_at(x, np.array(LAM8))) ** 2
         assert np.max(np.abs(lam[order] - LAM8)) <= 1e-7
         assert np.max(np.abs(w[order] - given)) <= 2e-4
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from helson_lab import projector
@@ -61,14 +63,27 @@ def test_helson_half_pair_bound():
     assert est.alpha_upper >= 1.0 / math.sqrt(2.0) - 1e-9  # 1/sqrt(2) is optimal here
 
 
-def test_helson_witness_consistent():
-    est = helson_constant(FiniteFrequencySet((Fraction(0), Fraction(1, 2))), g_range=32, restarts=3, seed=2)
+_FLOAT_K = st.lists(
+    st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8, unique_by=lambda x: round(x * 1e6)
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_FLOAT_K, st.integers(0, 400), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+@example((Fraction(0), Fraction(1, 2)), 32, 3, 2)
+@example((0.3,), 0, 1, 0)
+def test_helson_witness_consistent(freqs, g_range, restarts, seed):
+    ds = np.abs(np.subtract.outer(np.array(freqs, dtype=float), np.array(freqs, dtype=float)))
+    assume(np.all(np.minimum(ds, 1.0 - ds)[np.triu_indices(len(freqs), 1)] > 1e-9))
+    est = helson_constant(FiniteFrequencySet(tuple(freqs)), g_range, restarts, seed)
     lam = est.witness_measure.frequencies()
     w = est.witness_measure.weights()
-    gs = np.arange(-est.g_range, est.g_range + 1)
-    sup = np.max(np.abs(np.exp(2j * np.pi * np.outer(gs, lam)) @ w))
-    assert sup == pytest.approx(est.alpha_upper, abs=1e-12)
-    assert abs(est.argmax_g) <= est.g_range
+    # the dense (2G+1) x |K| table is the test oracle only
+    gs = np.arange(-g_range, g_range + 1)
+    mods = np.abs(np.exp(2j * np.pi * np.outer(gs, lam)) @ w)
+    assert abs(est.alpha_upper - np.max(mods)) <= 1e-12
+    assert abs(est.argmax_g) <= g_range
+    assert abs(mods[est.argmax_g + g_range] - np.max(mods)) <= 1e-12
 
 
 def test_helson_independent_pair_near_one():
@@ -93,6 +108,11 @@ def test_helson_guards():
         helson_constant(nine, g_range=10, restarts=1, seed=0)
     with pytest.raises(OutOfRange):
         helson_constant(FiniteFrequencySet((Fraction(0),)), g_range=2 * 10 ** 6, restarts=1, seed=0)
+
+
+def test_helson_restarts_below_one_rejected():
+    with pytest.raises(OutOfRange, match="restarts"):
+        helson_constant(FiniteFrequencySet((Fraction(0),)), g_range=10, restarts=0, seed=0)
 
 
 def test_helson_negative_g_range_rejected():

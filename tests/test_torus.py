@@ -20,9 +20,9 @@ from helson_lab.torus import (
     SparseTrigPoly,
     _canonical_sign,
     _check_distinct,
+    _mu_hat_scan,
     a_norm_lattice,
     dense_fft_oracle,
-    fourier_coeff,
     golden_min,
     independence_check,
     l1_norm_monte_carlo,
@@ -230,20 +230,28 @@ def test_l1_monte_carlo_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# fourier_coeff
+# Fourier coefficients through the blocked kernel
 # ---------------------------------------------------------------------------
+
+def _mu_hat(mu: AtomicCircleMeasure, g_range: int) -> np.ndarray:
+    """mu_hat(g) for g = -g_range..g_range, read off the kernel scan."""
+    return _mu_hat_scan(mu.frequencies(), g_range)(mu.weights())
+
 
 def test_fourier_coeff_examples():
     mu = AtomicCircleMeasure(((0.25, 1.0),))
-    assert fourier_coeff(mu, 2) == pytest.approx(-1.0, abs=1e-12)
+    assert _mu_hat(mu, 2)[2 + 2] == pytest.approx(-1.0, abs=1e-12)
     mu2 = AtomicCircleMeasure(((0.0, 0.5), (0.5, 0.5)))
-    assert fourier_coeff(mu2, 1) == pytest.approx(0.0, abs=1e-12)
-    assert fourier_coeff(mu2, 2) == pytest.approx(1.0, abs=1e-12)
-    assert fourier_coeff(mu2, 0) == pytest.approx(1.0, abs=1e-12)
+    vals = _mu_hat(mu2, 2)  # g = -2..2
+    assert vals[2 + 1] == pytest.approx(0.0, abs=1e-12)
+    assert vals[2 + 2] == pytest.approx(1.0, abs=1e-12)
+    assert vals[2 + 0] == pytest.approx(1.0, abs=1e-12)
+    assert _mu_hat(mu2, 0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fourier_coeff_conjugate_symmetry():
-    # real weights on a lambda -> 1 - lambda symmetric atom set
+    # real weights on a lambda -> 1 - lambda symmetric atom set; g = -7..7
+    # spans 15 = 4 blocks of 4 minus one padded slot
     rng = np.random.default_rng(2)
     freqs = [0.1, 0.35]
     atoms = []
@@ -252,8 +260,11 @@ def test_fourier_coeff_conjugate_symmetry():
         atoms.append((f, w))
         atoms.append((1.0 - f, w))
     mu = AtomicCircleMeasure(tuple(atoms))
-    for g in range(1, 8):
-        assert fourier_coeff(mu, -g) == pytest.approx(np.conj(fourier_coeff(mu, g)), abs=1e-12)
+    vals = _mu_hat(mu, 7)
+    assert np.max(np.abs(vals[::-1] - np.conj(vals))) <= 1e-12
+    gs = np.arange(-7, 8)
+    direct = np.exp(2j * np.pi * np.outer(gs, mu.frequencies())) @ mu.weights()
+    assert np.max(np.abs(vals - direct)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
