@@ -1,11 +1,12 @@
 """End-to-end acceptance experiments on pinned instances.
 
-run_acceptance executes the package's ten headline checks: minimal-tv
+run_acceptance executes the package's nine headline checks: minimal-tv
 moment measures against the 2|log eps| + 6 bound, the mixed Drury pipeline,
 Riesz-product identities and closed-form/FFT oracle agreement, projector
 telescoping, A-norm log growth, Gaussian vs random-phase discrimination,
-moment machinery on the standard complex Gaussian, Helson constant sanity,
-and determinism of the whole bundle.
+moment machinery on the standard complex Gaussian, and Helson constant
+sanity.  Criterion 10, determinism of the whole bundle, is checked by
+tests/test_acceptance.py, which runs the nine twice and compares the bytes.
 
 Every experiment instance (frequencies, degrees, lengths, model seeds) is
 pinned so the result JSON is reproducible byte for byte; the seed argument

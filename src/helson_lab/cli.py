@@ -47,6 +47,11 @@ _SWEEP_DEFAULT = "0.5,0.3679,0.1353,0.05,0.01832,0.01,0.00248,0.001"
 
 
 def worker_count() -> int:
+    """Size of the `mela --sweep` thread pool: HELSON_LAB_THREADS, at most the CPUs.
+
+    Nothing else reads it; numpy's BLAS and HiGHS pick their own threads.
+    The manifest's "threads" records this value.
+    """
     cap = os.environ.get("HELSON_LAB_THREADS")
     n_cpu = os.cpu_count() or 1
     if cap is None:
@@ -271,15 +276,15 @@ def _cmd_riesz(args) -> int:
 
 
 def _cmd_gauss_sim(args) -> int:
-    spectrum = AtomicCircleMeasure.from_json_dict(load_json(args.spectrum))
-    cls = G.RandomPhaseModel if args.model == "random-phase" else G.GaussianModel
-    model = cls(spectrum=spectrum, T_len=args.len, seed=args.seed)
-    seq = G.simulate(model)
     wanted = [tok.strip() for tok in args.report.split(",") if tok.strip()]
     known = {"moments", "spectral", "gaussianity", "increments"}
     for tok in wanted:
         if tok not in known:
             raise ConfigParse(f"unknown report section: {tok}")
+    spectrum = AtomicCircleMeasure.from_json_dict(load_json(args.spectrum))
+    cls = G.RandomPhaseModel if args.model == "random-phase" else G.GaussianModel
+    model = cls(spectrum=spectrum, T_len=args.len, seed=args.seed)
+    seq = G.simulate(model)
     freqs = [float(l) for l in np.sort(spectrum.frequencies())]
     report: Dict[str, object] = {"model": args.model, "T_len": args.len, "seed": args.seed}
     if "moments" in wanted:
@@ -317,7 +322,6 @@ def _cmd_verify_all(args) -> int:
     path = os.path.join(args.out, "acceptance.json")
     _atomic_write(path, results_json(payload))
     args._outputs = [path]
-    args._runtimes = runtimes
     for key in sorted(payload["checks"], key=int):
         c = payload["checks"][key]
         print(f"[criterion {key}] {'PASS' if c['passed'] else 'FAIL'} {c['name']} ({runtimes[key]:.1f}s)")

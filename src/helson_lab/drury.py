@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -80,15 +79,6 @@ def extract_P(n: int, s: float) -> SparseTrigPoly:
     for a, m in _support_strata(n):
         coeffs[m] = s ** (2 * a + 1)
     return SparseTrigPoly(n, coeffs)
-
-
-def support_count(n: int) -> int:
-    """Number of support points of extract_P: sum_a C(n,a) C(n-a, a+1)."""
-    if n < 1 or n > 30:
-        raise OutOfRange(f"n must be in 1..30, got {n}")
-    return sum(
-        math.comb(n, a) * math.comb(n - a, a + 1) for a in range(0, (n - 1) // 2 + 1)
-    )
 
 
 @dataclass(frozen=True)

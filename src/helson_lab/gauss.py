@@ -6,8 +6,8 @@ unit random phases (RandomPhaseModel); both share the covariance
 sum_j w_j e^{2 pi i g lambda_j}.  On top of the sequences: time-average
 spectral estimation with honest standard errors, the threshold family of
 sub-sums f_t with increment diagnostics, empirical L^p moment growth
-(Carleman partial sums, log-convexity), a quasi-analyticity slope check,
-and per-k z-scores against the complex-Gaussian moment ladder
+(Carleman partial sums sum_k 1/||f||_{2k}, log-convexity), and per-k
+z-scores against the complex-Gaussian moment ladder
 E|X|^{2k} = k! (E|X|^2)^k.
 
 Only atomic spectra are simulated here; continuous spectral measures can
@@ -430,51 +430,6 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
         logconvex_violations=logconvex_violations,
         monotone_violations=monotone_violations,
         growth_fit=float(beta[1]),
-    )
-
-
-@dataclass(frozen=True)
-class QuasiAnalyticReport:
-    partial_sums: Tuple[float, ...]
-    tail_slope: float
-    divergent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "partial_sums": list(self.partial_sums),
-            "tail_slope": self.tail_slope,
-            "divergent": self.divergent,
-        }
-
-
-def quasianalytic_check(M: Sequence[float]) -> QuasiAnalyticReport:
-    """Partial sums of sum_k (1/M_k)^{1/k} with a log-log divergence slope.
-
-    The terms of a_k = M_k^{-1/k} are fitted as a_k ~ k^s on the tail half;
-    s >= -1 diagnoses a divergent series.  Purely numeric: no symbolic
-    claim is made about the underlying class.
-    """
-    Ms = list(M)
-    if not Ms or len(Ms) > 1000:
-        raise OutOfRange(f"need 1..1e3 terms, got {len(Ms)}")
-    if any(m <= 0 for m in Ms):
-        raise OutOfRange("M_k must be positive")
-    # log domain: M_k may overflow float (e.g. factorial squared at k ~ 100)
-    log_m = np.array([math.log(m) for m in Ms])
-    ks = np.arange(1, len(Ms) + 1, dtype=float)
-    terms = np.exp(-log_m / ks)
-    partial = np.cumsum(terms)
-    start = len(Ms) // 2 if len(Ms) >= 4 else 0
-    x = np.log(ks[start:])
-    y = np.log(np.maximum(terms[start:], 1e-300))
-    if x.size >= 2 and float(np.ptp(x)) > 0:
-        slope = float(np.polyfit(x, y, 1)[0])
-    else:
-        slope = 0.0
-    return QuasiAnalyticReport(
-        partial_sums=tuple(float(s) for s in partial),
-        tail_slope=slope,
-        divergent=bool(slope >= -1.0),
     )
 
 

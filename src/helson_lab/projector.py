@@ -44,6 +44,7 @@ from .torus import (
     _mu_hat_scan,
     a_norm_lattice,
     golden_min,
+    grid_values,
 )
 
 _COS8 = math.cos(math.pi / 8.0)
@@ -224,30 +225,6 @@ class ApproxIndicator:
             valsF = self.phi.evaluate(np.array(self.F_samples)[:, None])
             if np.max(np.abs(valsF)) > self.epsilon + _POINT_TOL:
                 raise OutOfRange("indicator exceeds epsilon on F beyond 1e-6")
-
-    def degree(self) -> int:
-        return self.phi.max_abs_coord()
-
-    def audit_densified(self, factor: int = 10) -> float:
-        """Max |phi| on a refined grid between consecutive F samples.
-
-        Reported, not asserted: only the sampled points are constrained.
-        Gaps wider than 4x the median gap are skipped (they span K
-        territory, where |phi| is legitimately large).
-        """
-        ts = np.sort(np.array(self.F_samples, dtype=float))
-        if ts.size < 2:
-            return 0.0
-        gaps = np.diff(ts)
-        cutoff = 4.0 * float(np.median(gaps))
-        pts: List[np.ndarray] = []
-        for a, b, gap in zip(ts[:-1], ts[1:], gaps):
-            if gap <= cutoff:
-                pts.append(np.linspace(a, b, factor + 1))
-        if not pts:
-            return 0.0
-        grid = np.concatenate(pts)
-        return float(np.max(np.abs(self.phi.evaluate(grid[:, None]))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,16 +415,6 @@ class RotationModel:
     def poly(self) -> SparseTrigPoly:
         return SparseTrigPoly(1, {(m,): cm for m, cm in self.modes})
 
-    def spectral_measure(self) -> AtomicCircleMeasure:
-        return AtomicCircleMeasure(
-            tuple((self.eigenvalue(m), abs(cm) ** 2) for m, cm in self.modes)
-        )
-
-    def conjugated(self) -> "RotationModel":
-        return RotationModel(
-            self.alpha_rot, tuple((-m, cm.conjugate()) for m, cm in self.modes)
-        )
-
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(cm) ** 2 for _, cm in self.modes))
 
@@ -491,16 +458,6 @@ def l2_coeff_distance(f: SparseTrigPoly, g: SparseTrigPoly) -> float:
     )
 
 
-def _lp_norms_on_grid(poly: SparseTrigPoly, grid: int, ps: Sequence[float]) -> Dict[float, float]:
-    if poly.dim != 1:
-        raise OutOfRange("grid L^p norms are one-dimensional here")
-    dense = np.zeros(grid, dtype=complex)
-    for (m,), cm in poly.coeffs.items():
-        dense[m % grid] += cm
-    vals = np.abs(np.fft.ifft(dense) * grid)
-    return {p: float(np.mean(vals ** p) ** (1.0 / p)) for p in ps}
-
-
 def lp_norm_growth(
     model: RotationModel,
     K: FiniteFrequencySet,
@@ -514,10 +471,13 @@ def lp_norm_growth(
     ps = sorted(float(p) for p in p_list)
     if ps and (ps[0] < 2.0 or ps[-1] > 16.0):
         raise OutOfRange("p_list must lie within [2, 16]")
-    f = model.poly()
+
+    def norms(poly: SparseTrigPoly) -> Dict[float, float]:
+        vals = np.abs(grid_values(poly, grid))
+        return {p: float(np.mean(vals ** p) ** (1.0 / p)) for p in ps}
+
     pf, kept = apply_projector(model, K, tol_match)
-    nf = _lp_norms_on_grid(f, grid, ps)
-    npf = _lp_norms_on_grid(pf, grid, ps) if pf.coeffs else {p: 0.0 for p in ps}
+    nf, npf = norms(model.poly()), norms(pf)
     rows = []
     least_c = 0.0
     for p in ps:
@@ -525,8 +485,3 @@ def lp_norm_growth(
         least_c = max(least_c, ratio / p)
         rows.append({"p": p, "ratio": ratio, "c_at_p": ratio / p})
     return {"rows": rows, "least_feasible_C": least_c, "kept_modes": kept}
-
-
-def frequency_set_inverse(K: FiniteFrequencySet) -> FiniteFrequencySet:
-    """K^{-1}: negate each frequency on the circle (the constructor reduces mod 1)."""
-    return FiniteFrequencySet(tuple(-f for f in K.freqs))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -109,25 +109,6 @@ def _mitm_tables(freqs: Tuple[int, ...]):
         order = np.argsort(sums, kind="stable")
         out.append((sums[order], nnz[order]))
     return out[0], out[1]
-
-
-def riesz_fourier(spec: RieszProductSpec, m: int) -> float:
-    """Closed-form coefficient: (alpha/2)^nnz on the representable set, else 0."""
-    if len(spec.freqs) > 30:
-        raise OutOfRange("meet-in-the-middle lookup supports N <= 30")
-    if m == 0:
-        return 1.0
-    (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
-    # scan left sums, binary-search the complement on the right
-    target = np.int64(m) - sl
-    pos = np.searchsorted(sr, target)
-    ok = pos < sr.size
-    hits = np.flatnonzero(ok & (sr[np.minimum(pos, sr.size - 1)] == target))
-    if hits.size == 0:
-        return 0.0
-    i = int(hits[0])  # unique by dissociateness
-    nnz = int(nl[i]) + int(nr[pos[i]])
-    return (spec.alpha / 2.0) ** nnz
 
 
 def _support_in_range(spec: RieszProductSpec, m_range: int, positive_only: bool) -> Optional[Tuple[int, int]]:

@@ -112,35 +112,6 @@ class SparseTrigPoly:
             return 0
         return max(max(abs(x) for x in m) for m in self.coeffs)
 
-    def __add__(self, other: "SparseTrigPoly") -> "SparseTrigPoly":
-        if other.dim != self.dim:
-            raise OutOfRange("dimension mismatch in polynomial sum")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0j) + c
-        return SparseTrigPoly(self.dim, out)
-
-    def scale(self, a: complex) -> "SparseTrigPoly":
-        return SparseTrigPoly(self.dim, {m: a * c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "SparseTrigPoly") -> "SparseTrigPoly":
-        """Product of polynomials = convolution of coefficient maps."""
-        if other.dim != self.dim:
-            raise OutOfRange("dimension mismatch in polynomial product")
-        out: Dict[LatticePoint, complex] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = out.get(key, 0j) + c1 * c2
-        return SparseTrigPoly(self.dim, out)
-
-    def conjugate(self) -> "SparseTrigPoly":
-        """Coefficient map of the complex conjugate function."""
-        return SparseTrigPoly(
-            self.dim,
-            {tuple(-x for x in m): c.conjugate() for m, c in self.coeffs.items()},
-        )
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points in [0,1)^dim; points shape (S, dim) -> (S,) complex."""
         points = np.asarray(points, dtype=float)
@@ -299,6 +270,18 @@ def a_norm_lattice(p: SparseTrigPoly) -> float:
     return float(sum(abs(c) for c in p.coeffs.values()))
 
 
+def grid_values(p: SparseTrigPoly, N: int) -> np.ndarray:
+    """p at the N^dim grid points k/N, by one inverse FFT of its coefficients.
+
+    Coefficients are folded mod N, so the values are exact once N exceeds
+    2 max|coordinate| and aliased below that; callers set the grid.
+    """
+    dense = np.zeros((N,) * p.dim, dtype=complex)
+    for m, c in p.coeffs.items():
+        dense[tuple(x % N for x in m)] += c
+    return np.fft.ifftn(dense) * (N ** p.dim)
+
+
 def l1_norm_torus(p: SparseTrigPoly, grid_per_dim: int) -> float:
     """Uniform-grid average of |p| over T^dim.
 
@@ -312,13 +295,7 @@ def l1_norm_torus(p: SparseTrigPoly, grid_per_dim: int) -> float:
         raise OutOfRange(
             f"grid_per_dim {grid_per_dim} below anti-aliasing bound {max(4, 4 * maxdeg)}"
         )
-    N = int(grid_per_dim)
-    dense = np.zeros((N,) * p.dim, dtype=complex)
-    for m, c in p.coeffs.items():
-        idx = tuple(x % N for x in m)
-        dense[idx] += c
-    values = np.fft.ifftn(dense) * (N ** p.dim)
-    return float(np.mean(np.abs(values)))
+    return float(np.mean(np.abs(grid_values(p, int(grid_per_dim)))))
 
 
 def l1_norm_monte_carlo(p, samples: int, seed: int) -> Tuple[float, float]:
@@ -443,12 +420,6 @@ def dense_fft_oracle(p: SparseTrigPoly, grid_per_dim: int) -> np.ndarray:
     return np.fft.fftn(values) / (N ** p.dim)
 
 
-def oracle_coefficient(dense: np.ndarray, m: LatticePoint) -> complex:
-    """Look up the oracle output at lattice point m (indexed mod grid)."""
-    N = dense.shape[0]
-    return complex(dense[tuple(x % N for x in m)])
-
-
 # ---------------------------------------------------------------------------
 # independence of frequency sets
 # ---------------------------------------------------------------------------
@@ -457,10 +428,6 @@ def oracle_coefficient(dense: np.ndarray, m: LatticePoint) -> complex:
 class IndependenceVerdict:
     status: str  # "independent" | "dependent" | "inconclusive"
     witness: Optional[Tuple[int, ...]] = None
-
-    @property
-    def is_independent(self) -> bool:
-        return self.status == "independent"
 
 
 def _canonical_sign(vec: Tuple[int, ...]) -> Tuple[int, ...]:

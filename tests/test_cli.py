@@ -451,7 +451,12 @@ def test_missing_input_file_exits_two(tmp_path):
     assert rc == 2
 
 
-def test_unknown_report_section_exits_two(tmp_path, spectrum_file, capsys):
+def test_unknown_report_section_exits_two(tmp_path, spectrum_file, capsys, monkeypatch):
+    # the sections are checked before any sequence is synthesized
+    def no_synthesis(model):
+        raise AssertionError("simulate ran before the --report check")
+
+    monkeypatch.setattr(cli.G, "simulate", no_synthesis)
     rc = main([
         "gauss-sim", "--spectrum", spectrum_file, "--len", "2000",
         "--report", "moments,bogus", "--out", str(tmp_path / "run"),

@@ -18,7 +18,6 @@ from helson_lab.drury import (
     expand_Q,
     extract_P,
     mix_drury,
-    support_count,
 )
 from helson_lab.errors import MomentCheckFailed, OutOfRange
 from helson_lab.mela import SignedGridMeasure, solve_mela
@@ -28,7 +27,6 @@ from helson_lab.torus import (
     dense_fft_oracle,
     l1_norm_monte_carlo,
     l1_norm_torus,
-    oracle_coefficient,
 )
 
 
@@ -89,7 +87,7 @@ def test_expand_q_matches_oracle():
         q = expand_Q(n, 0.5)
         dense = dense_fft_oracle(q, 8)
         for m, c in q.coeffs.items():
-            assert oracle_coefficient(dense, m) == pytest.approx(c, abs=1e-10)
+            assert dense[tuple(x % 8 for x in m)] == pytest.approx(c, abs=1e-10)
         assert np.sum(np.abs(dense)) == pytest.approx(
             sum(abs(c) for c in q.coeffs.values()), abs=1e-9
         )
@@ -134,7 +132,7 @@ def test_extract_p_matches_oracle():
         p = extract_P(n, 0.45)
         dense = dense_fft_oracle(p, 8)
         for m, c in p.coeffs.items():
-            assert oracle_coefficient(dense, m) == pytest.approx(c, abs=1e-10)
+            assert dense[tuple(x % 8 for x in m)] == pytest.approx(c, abs=1e-10)
 
 
 def test_extract_p_l1_below_one():
@@ -145,18 +143,14 @@ def test_extract_p_l1_below_one():
 
 
 # ---------------------------------------------------------------------------
-# support_count
+# support size
 # ---------------------------------------------------------------------------
 
-def test_support_count_values():
-    assert support_count(1) == 1
-    assert support_count(2) == 2
-    assert support_count(3) == 6
-
-
 def test_support_count_matches_extract():
+    # closed form: sum_a C(n, a) C(n - a, a + 1) points 1_A - 1_B, |B| = |A| + 1
     for n in (1, 2, 3, 4, 5, 6):
-        assert support_count(n) == len(extract_P(n, 0.25).coeffs)
+        count = sum(math.comb(n, a) * math.comb(n - a, a + 1) for a in range((n - 1) // 2 + 1))
+        assert count == len(extract_P(n, 0.25).coeffs)
 
 
 # ---------------------------------------------------------------------------

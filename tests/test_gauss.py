@@ -336,46 +336,6 @@ def test_moment_guards_and_stability_warning(z_iid):
         G.moment_report(z_iid[:100], 16)
 
 
-# -- quasi-analyticity diagnostic -------------------------------------------
-
-def test_quasianalytic_constant_sequence():
-    rep = G.quasianalytic_check([1.0] * 100)
-    assert rep.partial_sums[-1] == pytest.approx(100.0)
-    assert rep.divergent
-    assert rep.tail_slope == pytest.approx(0.0, abs=1e-12)
-
-
-def test_quasianalytic_factorial_squared_converges():
-    Ms = [math.factorial(k) ** 2 for k in range(1, 101)]
-    rep = G.quasianalytic_check(Ms)
-    # independent oracle through lgamma, never touching big-int powers
-    oracle = np.cumsum(
-        [math.exp(-2.0 * math.lgamma(k + 1) / k) for k in range(1, 101)]
-    )
-    assert np.allclose(rep.partial_sums, oracle, atol=1e-9)
-    assert not rep.divergent
-    assert rep.tail_slope < -1.5
-    # terms ~ (e/k)^2: the tail of the sum is already flat
-    assert rep.partial_sums[-1] - rep.partial_sums[49] < 0.1
-
-
-def test_quasianalytic_gaussian_norms_diverge():
-    # M_k = ||Z||_{2k}^k = sqrt(k!): terms ~ sqrt(e/k), slope -1/2
-    Ms = [math.factorial(k) ** 0.5 for k in range(1, 41)]
-    rep = G.quasianalytic_check(Ms)
-    assert rep.divergent
-    assert -1.0 < rep.tail_slope < -0.3
-
-
-def test_quasianalytic_guards():
-    with pytest.raises(OutOfRange):
-        G.quasianalytic_check([])
-    with pytest.raises(OutOfRange):
-        G.quasianalytic_check([1.0] * 1001)
-    with pytest.raises(OutOfRange):
-        G.quasianalytic_check([1.0, -1.0])
-
-
 # -- Gaussianity z-scores ---------------------------------------------------
 
 def test_gaussian_model_consistent(xg_200k):
@@ -568,7 +528,5 @@ def test_reports_serialize():
     assert d["k_values"] == [1, 2] and isinstance(d["gaussian_consistent"], bool)
     d = G.moment_report(x, 6).to_json_dict()
     assert d["p_grid"] == [2, 4, 6]
-    d = G.quasianalytic_check([1.0, 2.0]).to_json_dict()
-    assert "tail_slope" in d and "divergent" in d
     pts = G.estimate_spectral(x, 1)
     assert {"g", "re", "im", "std_err"} == set(pts[0].to_json_dict())

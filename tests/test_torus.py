@@ -27,7 +27,6 @@ from helson_lab.torus import (
     independence_check,
     l1_norm_monte_carlo,
     l1_norm_torus,
-    oracle_coefficient,
 )
 
 
@@ -160,7 +159,10 @@ def test_a_norm_extract_p_n3():
 def test_a_norm_triangle_inequality(terms1, terms2):
     p = SparseTrigPoly(1, {(m,): c for m, c in terms1})
     q = SparseTrigPoly(1, {(m,): c for m, c in terms2})
-    assert a_norm_lattice(p + q) <= a_norm_lattice(p) + a_norm_lattice(q) + 1e-12
+    total = dict(p.coeffs)
+    for m, c in q.coeffs.items():
+        total[m] = total.get(m, 0j) + c
+    assert a_norm_lattice(SparseTrigPoly(1, total)) <= a_norm_lattice(p) + a_norm_lattice(q) + 1e-12
 
 
 @given(
@@ -176,7 +178,8 @@ def test_a_norm_triangle_inequality(terms1, terms2):
 )
 def test_a_norm_absolute_homogeneity(terms, a):
     p = SparseTrigPoly(1, {(m,): c for m, c in terms})
-    assert a_norm_lattice(p.scale(a)) == pytest.approx(abs(a) * a_norm_lattice(p), abs=1e-12)
+    a_times_p = SparseTrigPoly(1, {m: a * c for m, c in p.coeffs.items()})
+    assert a_norm_lattice(a_times_p) == pytest.approx(abs(a) * a_norm_lattice(p), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +288,7 @@ def test_oracle_matches_sparse_random():
         p = _random_poly(rng, dim=dim, degree=3, n_terms=6)
         dense = dense_fft_oracle(p, 16)
         for m, c in p.coeffs.items():
-            assert oracle_coefficient(dense, m) == pytest.approx(c, abs=1e-10)
+            assert dense[tuple(x % 16 for x in m)] == pytest.approx(c, abs=1e-10)
         assert np.sum(np.abs(dense)) == pytest.approx(
             sum(abs(c) for c in p.coeffs.values()), abs=1e-8
         )
@@ -295,10 +298,14 @@ def test_oracle_convolution():
     rng = np.random.default_rng(17)
     p = _random_poly(rng, dim=1, degree=4, n_terms=4)
     q = _random_poly(rng, dim=1, degree=4, n_terms=4)
-    prod = p * q
+    conv = {}
+    for (m1,), c1 in p.coeffs.items():
+        for (m2,), c2 in q.coeffs.items():
+            conv[(m1 + m2,)] = conv.get((m1 + m2,), 0j) + c1 * c2
+    prod = SparseTrigPoly(1, conv)
     dense = dense_fft_oracle(prod, 32)
     for m, c in prod.coeffs.items():
-        assert oracle_coefficient(dense, m) == pytest.approx(c, abs=1e-10)
+        assert dense[tuple(x % 32 for x in m)] == pytest.approx(c, abs=1e-10)
 
 
 def test_oracle_guards():
@@ -314,7 +321,7 @@ def test_oracle_guards():
 
 def test_independence_single_rational():
     K = FiniteFrequencySet((Fraction(1, 2),))
-    assert independence_check(K, 5).is_independent
+    assert independence_check(K, 5).status == "independent"
 
 
 def test_independence_dependent_witness():
