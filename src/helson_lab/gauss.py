@@ -134,52 +134,65 @@ class SpectralPoint:
         }
 
 
+def _block_se(block_means: np.ndarray) -> float:
+    """Standard error of a mean from the means of its B equal blocks."""
+    B = block_means.size
+    return float(np.std(block_means, ddof=1) / math.sqrt(B)) if B >= 2 else 0.0
+
+
 def _batch_se(values: np.ndarray) -> float:
     """Standard error of the mean by batch means over _BATCHES blocks."""
     T = values.size
     B = min(_BATCHES, T)
     edge = (T // B) * B
-    if edge == 0 or B < 2:
-        return 0.0
-    bm = values[:edge].reshape(B, -1).mean(axis=1)
-    return float(np.std(bm, ddof=1) / math.sqrt(B))
+    return _block_se(values[:edge].reshape(B, -1).mean(axis=1))
 
 
-def _lag_products(seq: np.ndarray, g: int) -> np.ndarray:
-    if g == 0:
-        return (seq * np.conj(seq)).astype(complex)
-    return seq[g:] * np.conj(seq[:-g])
+def _batch_dots(x: np.ndarray, y: np.ndarray) -> Tuple[complex, np.ndarray]:
+    """sum_n x_n y_n and the means of x_n y_n over the blocks of _batch_se.
+
+    The tail past the last whole block enters only the sum.  The sums are
+    einsum loops, not BLAS dots: BLAS splits long reductions across threads,
+    which would make the rounding depend on the thread count.
+    """
+    n = x.size
+    B = min(_BATCHES, n)
+    L = n // B
+    edge = B * L
+    sums = np.einsum("bi,bi->b", x[:edge].reshape(B, L), y[:edge].reshape(B, L))
+    return sums.sum() + np.einsum("i,i->", x[edge:], y[edge:]), sums / L
 
 
 def estimate_spectral(seq: np.ndarray, g_max: int) -> List[SpectralPoint]:
     """Time-average covariance estimates (1/(T-g)) sum X_{n+g} conj(X_n).
 
-    The reported standard error adds, to the batched time-averaging error, a
-    realization floor sqrt(P/2) where P is the mean squared modulus of the
-    estimator at probe lags far beyond g_max.  For atomic spectra the
-    estimator converges to sum_j w_j |xi_j|^2 e^{2 pi i g lambda_j}, so the
-    probe level measures the realization scatter sum_j (w_j |xi_j|^2)^2 that
-    a single time series can never average away.
+    Each lag is one fused pass of _batch_dots, which gives the estimate and
+    the block means of its batched time-averaging error.  The reported
+    standard error adds to that error a realization floor sqrt(P/2) where P
+    is the mean squared modulus of the estimator at probe lags far beyond
+    g_max.  For atomic spectra the estimator converges to
+    sum_j w_j |xi_j|^2 e^{2 pi i g lambda_j}, so the probe level measures the
+    realization scatter sum_j (w_j |xi_j|^2)^2 that a single time series can
+    never average away.
     """
     seq = np.asarray(seq)
     T = seq.size
     if g_max < 0 or g_max > T // 10:
         raise OutOfRange(f"g_max must be in 0..T/10, got {g_max}")
+    seq_conj = np.conj(seq)
     rng = np.random.default_rng(101)
     lo = g_max + 1
     hi = max(lo + 1, T // 10)
     probes = np.unique(rng.integers(lo, hi, size=24))
-    probe_sq = [abs(np.mean(_lag_products(seq, int(gp)))) ** 2 for gp in probes]
+    probes = probes[probes < T]  # T = 1 leaves no probe lag inside the sequence
+    probe_sq = [abs(_batch_dots(seq[gp:], seq_conj[: T - gp])[0] / (T - gp)) ** 2 for gp in probes]
     floor_sq = 0.5 * float(np.mean(probe_sq)) if probe_sq else 0.0
 
     out: List[SpectralPoint] = []
     for g in range(g_max + 1):
-        prods = _lag_products(seq, g)
-        est = complex(np.mean(prods))
-        se_re = _batch_se(prods.real)
-        se_im = _batch_se(prods.imag)
-        se = math.sqrt(se_re ** 2 + se_im ** 2 + floor_sq)
-        out.append(SpectralPoint(g=g, value=est, std_err=se))
+        total, bm = _batch_dots(seq[g:], seq_conj[: T - g])
+        se = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2 + floor_sq)
+        out.append(SpectralPoint(g=g, value=complex(total / (T - g)), std_err=se))
     return out
 
 
@@ -311,15 +324,13 @@ def increment_dependence_test(
     else:
         stat = float(np.mean(A0 * B0) / scale)
         # all circular shifts at once via FFT cross-correlation
-        cross = np.fft.ifft(np.fft.fft(A0) * np.conj(np.fft.fft(B0))).real / T
+        cross = np.fft.irfft(np.fft.rfft(A0) * np.conj(np.fft.rfft(B0)), n=T) / T
         rng = np.random.default_rng(seed)
         shifts = rng.integers(1, T, size=n_boot)
         q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
-    ortho = np.mean(da * np.conj(db))
-    se_o = math.sqrt(
-        _batch_se((da * np.conj(db)).real) ** 2
-        + _batch_se((da * np.conj(db)).imag) ** 2
-    )
+    ortho_sum, bm = _batch_dots(da, np.conj(db))
+    ortho = ortho_sum / T
+    se_o = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2)
     z_o = float(abs(ortho) / se_o) if se_o > 0 else 0.0
 
     def flat(x: np.ndarray) -> float:
@@ -390,22 +401,23 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
 
     norms: List[float] = []
     ses: List[float] = []
+    mps: List[float] = []
     batch_log_mp: List[np.ndarray] = []
     for p in ps:
         ap = a ** p
         mp = float(np.mean(ap))
+        mps.append(mp)
         norm = mp ** (1.0 / p)
-        se_mp = _batch_se(ap)
+        bm = ap[:edge].reshape(B, -1).mean(axis=1)
         # delta method: d norm / d mp = norm / (p mp)
-        ses.append(se_mp * norm / (p * mp) if mp > 0 else 0.0)
+        ses.append(_block_se(bm) * norm / (p * mp) if mp > 0 else 0.0)
         norms.append(norm)
-        bm = ap[:edge].reshape(B, -1).mean(axis=1) if edge else np.array([mp])
         batch_log_mp.append(np.log(np.maximum(bm, 1e-300)))
 
     carleman = np.cumsum([1.0 / n for n in norms])
 
     logconvex_violations = 0
-    log_mp = np.array([math.log(max(np.mean(a ** p), 1e-300)) for p in ps])
+    log_mp = np.array([math.log(max(mp, 1e-300)) for mp in mps])
     for i in range(1, len(ps) - 1):
         d2 = log_mp[i - 1] - 2.0 * log_mp[i] + log_mp[i + 1]
         d2_b = batch_log_mp[i - 1] - 2.0 * batch_log_mp[i] + batch_log_mp[i + 1]

@@ -465,9 +465,16 @@ def lp_norm_growth(
     grid: int,
     tol_match: float = 1e-9,
 ) -> dict:
-    """Table of ||pi_K f||_p / ||f||_p with the least C fitting ratio <= C p."""
-    if grid < 4096:
-        raise OutOfRange(f"grid must be >= 4096, got {grid}")
+    """Table of ||pi_K f||_p / ||f||_p with the least C fitting ratio <= C p.
+
+    The norms are grid averages with modes folded mod grid, so the grid
+    must be >= 4096 and clear the anti-aliasing bound 4 max|m| of
+    l1_norm_torus.
+    """
+    f = model.poly()
+    bound = max(4096, 4 * f.max_abs_coord())
+    if grid < bound:
+        raise OutOfRange(f"grid {grid} below the bound {bound} (>= 4096 and >= 4 max|m|)")
     ps = sorted(float(p) for p in p_list)
     if ps and (ps[0] < 2.0 or ps[-1] > 16.0):
         raise OutOfRange("p_list must lie within [2, 16]")
@@ -477,7 +484,7 @@ def lp_norm_growth(
         return {p: float(np.mean(vals ** p) ** (1.0 / p)) for p in ps}
 
     pf, kept = apply_projector(model, K, tol_match)
-    nf, npf = norms(model.poly()), norms(pf)
+    nf, npf = norms(f), norms(pf)
     rows = []
     least_c = 0.0
     for p in ps:

@@ -227,6 +227,105 @@ def test_spectral_deterministic_and_guarded(xr_200k):
         G.estimate_spectral(xr_200k[:100], 11)
 
 
+# the per-lag path estimate_spectral and increment_dependence_test replaced:
+# one product array per lag, read once per statistic, and complex FFTs for
+# the real cross-correlation; slow, kept only as the oracle
+
+def _batch_se_oracle(values):
+    T = values.size
+    B = min(32, T)
+    edge = (T // B) * B
+    if edge == 0 or B < 2:
+        return 0.0
+    bm = values[:edge].reshape(B, -1).mean(axis=1)
+    return float(np.std(bm, ddof=1) / math.sqrt(B))
+
+
+def _lag_products(seq, g):
+    if g == 0:
+        return (seq * np.conj(seq)).astype(complex)
+    return seq[g:] * np.conj(seq[:-g])
+
+
+def _spectral_oracle(seq, g_max):
+    T = seq.size
+    rng = np.random.default_rng(101)
+    lo = g_max + 1
+    hi = max(lo + 1, T // 10)
+    probes = [int(gp) for gp in np.unique(rng.integers(lo, hi, size=24)) if gp < T]
+    probe_sq = [abs(np.mean(_lag_products(seq, gp))) ** 2 for gp in probes]
+    floor_sq = 0.5 * float(np.mean(probe_sq)) if probe_sq else 0.0
+    out = []
+    for g in range(g_max + 1):
+        prods = _lag_products(seq, g)
+        se_re = _batch_se_oracle(prods.real)
+        se_im = _batch_se_oracle(prods.imag)
+        out.append((complex(np.mean(prods)), math.sqrt(se_re ** 2 + se_im ** 2 + floor_sq)))
+    return out
+
+
+def _increment_oracle(da, db, n_boot, seed):
+    """(stat_cross, null_q99, orthogonality_z) of increment_dependence_test."""
+    A0 = np.abs(da) ** 2 - np.mean(np.abs(da) ** 2)
+    B0 = np.abs(db) ** 2 - np.mean(np.abs(db) ** 2)
+    T = A0.size
+    scale = float(np.sqrt(np.mean(A0 ** 2))) * float(np.sqrt(np.mean(B0 ** 2)))
+    cross = np.fft.ifft(np.fft.fft(A0) * np.conj(np.fft.fft(B0))).real / T
+    shifts = np.random.default_rng(seed).integers(1, T, size=n_boot)
+    q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
+    prods = da * np.conj(db)
+    se_o = math.sqrt(_batch_se_oracle(prods.real) ** 2 + _batch_se_oracle(prods.imag) ** 2)
+    return float(np.mean(A0 * B0) / scale), q99, float(abs(np.mean(prods)) / se_o)
+
+
+def _complex_noise(seed, T, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal(T) + 1j * rng.standard_normal(T))
+
+
+@st.composite
+def _spectral_case(draw):
+    """(seq, g_max): short tails (T % 32 != 0), lags leaving < 32 terms, g_max = 0."""
+    T = draw(st.one_of(st.integers(1, 40), st.integers(41, 5_000)))
+    g_max = draw(st.integers(0, T // 10))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    seq = _complex_noise(draw(st.integers(0, 2 ** 32 - 1)), T, scale)
+    return seq, g_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spectral_case())
+@example((_complex_noise(0, 1), 0))
+@example((_complex_noise(1, 35), 3))
+@example((_complex_noise(2, 4_001), 0))
+@example((_complex_noise(3, 4_096), 409))
+def test_spectral_matches_per_lag_oracle(case):
+    seq, g_max = case
+    m2 = float(np.mean(np.abs(seq) ** 2))
+    got = G.estimate_spectral(seq, g_max)
+    assert [p.g for p in got] == list(range(g_max + 1))
+    for p, (value, se) in zip(got, _spectral_oracle(seq, g_max)):
+        assert abs(p.value - value) <= 1e-12 * m2
+        assert abs(p.std_err - se) <= 1e-10 * se
+    assert got[0].value.imag == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5_000), st.integers(0, 2 ** 32 - 1), st.integers(1, 400))
+@example(33, 0, 1000)
+def test_increment_dependence_matches_complex_fft_oracle(T, seed, n_boot):
+    da, db = _complex_noise(seed, T), _complex_noise(seed + 1, T, 0.5)
+    fam = G.SpectralProcessFamily(
+        thresholds=(0.0, 0.5, 1.0), f_values=(), increments=(da, db),
+        window_bounds=(), window_weights=(), window_atom_counts=(),
+    )
+    rep = G.increment_dependence_test(fam, 0, 1, n_boot=n_boot, seed=seed)
+    stat, q99, z_o = _increment_oracle(da, db, n_boot, seed)
+    assert abs(rep.stat_cross - stat) <= 1e-12
+    assert abs(rep.null_q99 - q99) <= 1e-12
+    assert abs(rep.orthogonality_z - z_o) <= 1e-10 * max(1.0, z_o)
+
+
 # -- threshold family and increments ----------------------------------------
 
 def test_process_full_threshold_reproduces_simulate():

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
-import numpy as np
 import pytest
 
 from helson_lab.errors import OutOfRange
 from helson_lab.linprog import GAP_TOL
 from helson_lab.mela import (
-    MomentCertificate,
     SignedGridMeasure,
     check_moments,
     mela_bound,

@@ -525,3 +525,13 @@ def test_lp_growth_guards():
         lp_norm_growth(model, K, p_list=[1.5], grid=4096)
     with pytest.raises(OutOfRange):
         lp_norm_growth(model, K, p_list=[2, 32], grid=4096)
+
+
+def test_lp_growth_refuses_aliased_grid():
+    # modes 1 and 4097 share a bin mod 4096, which read the p = 2 ratio as 0.5
+    model = RotationModel(GOLDEN, ((1, 1.0), (4097, 1.0)))
+    K = FiniteFrequencySet((model.eigenvalue(1),))
+    with pytest.raises(OutOfRange):
+        lp_norm_growth(model, K, p_list=[2, 4], grid=4096)
+    out = lp_norm_growth(model, K, p_list=[2, 4], grid=4 * 4097)
+    assert abs(out["rows"][0]["ratio"] - 1.0 / math.sqrt(2.0)) <= 1e-12
