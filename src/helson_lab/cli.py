@@ -47,10 +47,11 @@ _SWEEP_DEFAULT = "0.5,0.3679,0.1353,0.05,0.01832,0.01,0.00248,0.001"
 
 
 def worker_count() -> int:
-    """Size of the `mela --sweep` thread pool: HELSON_LAB_THREADS, at most the CPUs.
+    """Size of the `mela --sweep` and verify-all criteria thread pools.
 
-    Nothing else reads it; numpy's BLAS and HiGHS pick their own threads.
-    The manifest's "threads" records this value.
+    HELSON_LAB_THREADS, at most the CPUs (default: the CPU count).  Nothing
+    else reads it; numpy's BLAS and HiGHS pick their own threads.  The
+    manifest's "threads" records this value.
     """
     cap = os.environ.get("HELSON_LAB_THREADS")
     n_cpu = os.cpu_count() or 1
@@ -309,7 +310,7 @@ def _cmd_gauss_sim(args) -> int:
         outputs.append(dpath)
     args._outputs = outputs
     bits = []
-    if "moments" in wanted:
+    if "moments" in wanted and 4 in report["moments"]["p_grid"]:
         bits.append(f"norm4={report['moments']['lp_norms'][1]:.4f}")
     if "gaussianity" in wanted:
         bits.append(f"gaussian_consistent={report['gaussianity']['gaussian_consistent']}")
@@ -318,7 +319,7 @@ def _cmd_gauss_sim(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    payload, runtimes = run_acceptance(args.seed)
+    payload, runtimes = run_acceptance(args.seed, workers=worker_count())
     path = os.path.join(args.out, "acceptance.json")
     _atomic_write(path, results_json(payload))
     args._outputs = [path]

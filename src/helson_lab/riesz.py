@@ -107,7 +107,10 @@ def _mitm_tables(freqs: Tuple[int, ...]):
             sums = np.concatenate([sums, sums + n, sums - n])
             nnz = np.concatenate([nnz, nnz + 1, nnz + 1])
         order = np.argsort(sums, kind="stable")
-        out.append((sums[order], nnz[order]))
+        table = (sums[order], nnz[order])
+        for arr in table:  # the cache hands these to every caller, on any thread
+            arr.flags.writeable = False
+        out.append(table)
     return out[0], out[1]
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from helson_lab import acceptance as A
 from helson_lab.acceptance import results_json, run_acceptance
 
 
@@ -97,8 +100,29 @@ def test_criterion_9_helson_sanity(acceptance):
 
 
 def test_criterion_10_determinism(acceptance):
+    # the fixture ran on one worker; the bytes must not depend on the pool size
     payload, _ = acceptance
-    again, _ = run_acceptance(7)
+    again, _ = run_acceptance(7, workers=2)
     same = results_json(payload) == results_json(again)
     print(f"[criterion 10] {'PASS' if same else 'FAIL'} determinism byte-identical={same}")
     assert same
+
+
+def test_failing_criterion_propagates_from_the_pool(monkeypatch):
+    def broken(seed):
+        raise RuntimeError("criterion 9 broke")
+
+    monkeypatch.setattr(A, "check_helson_sanity", broken)
+    caught = []
+
+    def run():
+        try:
+            run_acceptance(7, workers=2)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "run_acceptance hung after a criterion raised"
+    assert [str(exc) for exc in caught] == ["criterion 9 broke"]

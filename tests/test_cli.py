@@ -200,6 +200,25 @@ def test_gauss_sim_sections_and_dump(tmp_path, spectrum_file):
     assert len(rows) == 20000
 
 
+@pytest.mark.parametrize("pmax", [2, 4])
+def test_gauss_sim_moments_summary_at_small_pmax(tmp_path, spectrum_file, capsys, pmax):
+    # p = 4 is printed only when the moment report computed it
+    out = tmp_path / "run"
+    rc = main([
+        "gauss-sim", "--spectrum", spectrum_file, "--len", "1000", "--pmax", str(pmax),
+        "--report", "moments", "--out", str(out),
+    ])
+    assert rc == 0
+    assert (out / "manifest.json").exists()
+    moments = read_json(out / "gauss_sim.json")["moments"]
+    assert moments["p_grid"] == list(range(2, pmax + 1, 2))
+    printed = capsys.readouterr().out
+    if pmax == 2:
+        assert "norm4" not in printed
+    else:
+        assert f"norm4={moments['lp_norms'][1]:.4f}" in printed
+
+
 def test_gauss_sim_random_phase_model(tmp_path, spectrum_file):
     out = tmp_path / "run"
     rc = main([
@@ -214,7 +233,7 @@ def test_gauss_sim_random_phase_model(tmp_path, spectrum_file):
 
 
 def test_verify_all_stubbed(tmp_path, monkeypatch):
-    def fake_acceptance(seed):
+    def fake_acceptance(seed, workers):
         payload = {
             "seed": seed,
             "all_passed": True,
@@ -232,7 +251,7 @@ def test_verify_all_stubbed(tmp_path, monkeypatch):
 
 
 def test_verify_all_reports_failure(tmp_path, monkeypatch):
-    def fake_acceptance(seed):
+    def fake_acceptance(seed, workers):
         payload = {
             "seed": seed,
             "all_passed": False,
@@ -321,7 +340,7 @@ def test_config_seed_only_where_the_flag_exists(tmp_path, freq_files, spectrum_f
                       "--report", "spectral"],
         "verify-all": ["verify-all"],
     }[command]
-    monkeypatch.setattr(cli, "run_acceptance", lambda seed: (
+    monkeypatch.setattr(cli, "run_acceptance", lambda seed, workers: (
         {"seed": seed, "all_passed": True, "checks": {}}, {}))
     out = tmp_path / "run"
     cpath = write_json(tmp_path / "cfg.json", {"seed": 3})
