@@ -182,6 +182,7 @@ def check_projector_telescope() -> dict:
     eigs = sorted(model.eigenvalue(m) for m, _ in model.modes)
     K = FiniteFrequencySet(tuple(eigs[i] for i in range(0, 32, 4)))
     F = [e for i, e in enumerate(eigs) if i % 4 != 0]
+    # one stage at a time: the criteria already run on the worker pool
     series = projector_series(K, F, p=2.0, k_terms=3, degree=_DEGREE)
     exact, kept = apply_projector(model, K, tol_match=1e-9)
     norm = model.l2_norm()

@@ -47,7 +47,7 @@ _SWEEP_DEFAULT = "0.5,0.3679,0.1353,0.05,0.01832,0.01,0.00248,0.001"
 
 
 def worker_count() -> int:
-    """Size of the `mela --sweep` and verify-all criteria thread pools.
+    """Size of the `mela --sweep`, projector stage and verify-all criteria pools.
 
     HELSON_LAB_THREADS, at most the CPUs (default: the CPU count).  Nothing
     else reads it; numpy's BLAS and HiGHS pick their own threads.  The
@@ -234,7 +234,7 @@ def _cmd_projector(args) -> int:
     series_out = {}
     rows = []
     for p in p_list:
-        series = projector_series(K, F, p=p, k_terms=args.kterms, degree=args.degree)
+        series = projector_series(K, F, p=p, k_terms=args.kterms, degree=args.degree, workers=worker_count())
         series_out[str(p)] = [ind.to_json_dict() for ind in series]
         for ind in series:
             rows.append([p, ind.epsilon, ind.a_norm, ind.lp_objective])

@@ -7,11 +7,17 @@ Thin wrapper over scipy's HiGHS interface.  Every LP is solved by the
 HiGHS interior-point method with crossover (method="highs-ipm"), so the
 solution is a vertex with basic duals, and the same input gives the same
 bytes on every run.  The wrapper pins down the conventions the rest of the
-package relies on: a single dense calling form (handed to HiGHS as a sparse
-matrix, so zero entries cost nothing past the input itself), duals reported
-as sensitivities dz/db for both row groups, an explicit duality gap, and
-this package's error taxonomy (Infeasible / Unbounded / SolverStall)
-instead of status codes.
+package relies on: one calling form that takes each constraint matrix dense
+or as a scipy sparse matrix and hands it to HiGHS as csr_array(A) (equal
+inputs give HiGHS the same matrix, so the same bytes), duals reported as
+sensitivities dz/db for both row groups, an explicit duality gap, and this
+package's error taxonomy (Infeasible / Unbounded / SolverStall) instead of
+status codes.
+
+LP_MAX_ENTRIES bounds every LP by its dense size, (rows + 1) x variables,
+whatever form the matrices arrive in.  The projector assembles its
+matrices sparse, so no such dense array is built any more, but the
+envelope is kept exactly as it was: the documented limits are stated in it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,18 @@ from .errors import Infeasible, OutOfRange, SolverStall, Unbounded
 
 LP_MAX_ENTRIES = 2 ** 25  # dense envelope: entries of c, A_eq and A_ub together
 GAP_TOL = 1e-8  # certified optimality: duality_gap <= GAP_TOL * (1 + |objective|)
+
+
+class ConstraintMatrix(csr_array):
+    """A csr_array that numpy converts to its dense form.
+
+    lp_solve hands it to HiGHS as the sparse matrix it is.  Code that reads
+    constraint matrices through numpy, as perfbench's lp_solve counters do
+    with np.asarray(A), gets the dense array, built on that request only.
+    """
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray().astype(dtype or float, copy=False)
 
 
 def dense_entries(rows: int, cols: int) -> int:
@@ -54,21 +72,23 @@ def lp_solve(
 ) -> LPResult:
     """Solve min c.x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-    Solved by HiGHS interior point with crossover.  The guard is sized by
-    what the dense input costs: (rows + 1) x variables <= LP_MAX_ENTRIES
-    (2^25, 256 MiB of float64), refused before HiGHS sees it.  Optimality
-    is certified by the dual values: duality_gap <= GAP_TOL * (1 + |objective|)
-    (GAP_TOL = 1e-8) in practice; callers that certify results re-check it.
+    A_eq and A_ub may be dense or scipy sparse; either is converted by
+    csr_array(A).  Solved by HiGHS interior point with crossover.  The guard
+    is sized by what the dense input would cost: (rows + 1) x variables <=
+    LP_MAX_ENTRIES (2^25, 256 MiB of float64), refused before HiGHS sees
+    it.  Optimality is certified by the dual values: duality_gap <= GAP_TOL
+    * (1 + |objective|) (GAP_TOL = 1e-8) in practice; callers that certify
+    results re-check it.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
-    A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
+    A_eq = csr_array((0, n)) if A_eq is None else csr_array(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, dtype=float))
+    A_ub = csr_array((0, n)) if A_ub is None else csr_array(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
-    if A_eq.shape != (m_eq, n) or A_ub.shape != (m_ub, n):
+    if A_eq.ndim != 2 or A_ub.ndim != 2 or A_eq.shape[1] != n or A_ub.shape[1] != n:
         raise OutOfRange("constraint matrix width does not match len(c)")
+    m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
     if b_eq.size != m_eq or b_ub.size != m_ub:
         raise OutOfRange("right-hand side length does not match its matrix")
     if dense_entries(m_eq + m_ub, n) > LP_MAX_ENTRIES:
@@ -79,9 +99,9 @@ def lp_solve(
 
     res = _scipy_linprog(
         c,
-        A_ub=csr_array(A_ub) if m_ub else None,
+        A_ub=A_ub if m_ub else None,
         b_ub=b_ub if m_ub else None,
-        A_eq=csr_array(A_eq) if m_eq else None,
+        A_eq=A_eq if m_eq else None,
         b_eq=b_eq if m_eq else None,
         bounds=(0.0, None),
         method="highs-ipm",

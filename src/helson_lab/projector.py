@@ -30,13 +30,14 @@ reports the best witness found, never a certified constant.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSeparation, OutOfRange
-from .linprog import LP_MAX_ENTRIES, dense_entries, lp_solve
+from .linprog import LP_MAX_ENTRIES, ConstraintMatrix, dense_entries, lp_solve
 from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
@@ -239,15 +240,37 @@ class ApproxIndicator:
         }
 
 
+def _csr_rows(blocks: Sequence[Tuple[np.ndarray, np.ndarray]], n_cols: int) -> ConstraintMatrix:
+    """Stack row blocks (values, columns) into a sparse matrix, exact zeros dropped.
+
+    Each block is a (rows, width) value array with a column array that
+    broadcasts to it and increases along every row, so the result is in
+    canonical form: the same indptr, indices and data as csr_array of the
+    dense matrix.  int32 indices, as csr_array picks them: the dense-entry
+    guard keeps every index and count below 2^31.
+    """
+    vals, cols, counts = [], [], []
+    for v, col in blocks:
+        keep = v != 0.0
+        vals.append(v[keep])
+        cols.append(np.broadcast_to(col, v.shape)[keep])
+        counts.append(np.count_nonzero(keep, axis=1))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int32)
+    indices = np.concatenate(cols).astype(np.int32)
+    return ConstraintMatrix((np.concatenate(vals), indices, indptr), shape=(indptr.size - 1, n_cols))
+
+
 def _indicator_lp(
     lamK: np.ndarray, ts: np.ndarray, epsilon: float, ns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's lifted LP.
+) -> Tuple[np.ndarray, ConstraintMatrix, np.ndarray, ConstraintMatrix, np.ndarray]:
+    """(c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's lifted LP, matrices sparse.
 
     Variables are the blocks (p, q, u, w, r), each indexed like ns, then
     P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps for t in ts.  The
     inscribed 8-gon lies in the eps-disk, so the shift keeps P, Q >= 0 on
     every feasible point, and each modulus cap is a 2-entry row in (P, Q).
+    A_eq and A_ub are assembled from index arrays, never as dense
+    rows x variables arrays; only the 2 (|K| + |F|) Re/Im rows are dense.
     """
     N, m = ns.size, ts.size
     nv = 5 * N + 2 * m
@@ -261,23 +284,22 @@ def _indicator_lp(
 
     arg = 2.0 * np.pi * ns * np.concatenate([lamK, ts])[:, None]
     cs, sn = np.cos(arg), np.sin(arg)
-    zs = np.zeros_like(cs)
-    # rows 2i, 2i+1: Re phi, Im phi at the i-th point of K then of F
-    re_im = np.hstack([cs, -cs, -sn, sn, zs, sn, -sn, cs, -cs, zs]).reshape(-1, 5 * N)
+    # rows 2i, 2i+1: Re phi, Im phi at the i-th point of K then of F, over (p, q, u, w)
+    re_im = np.hstack([cs, -cs, -sn, sn, sn, -sn, cs, -cs]).reshape(-1, 4 * N)
     k = lamK.size
-    A_eq = np.zeros((2 * (k + m), nv))
-    A_eq[:, :5 * N] = re_im
+    coef_cols = np.arange(4 * N)
     # phi(lambda) = 1 on K; Re phi(t) - P_t = Im phi(t) - Q_t = -eps on F
-    A_eq[2 * k:, 5 * N:] = -np.eye(2 * m)
+    lifted = np.hstack([re_im[2 * k:], np.full((2 * m, 1), -1.0)])
+    lift_cols = np.hstack([np.broadcast_to(coef_cols, (2 * m, 4 * N)), 5 * N + np.arange(2 * m)[:, None]])
+    A_eq = _csr_rows([(re_im[:2 * k], coef_cols), (lifted, lift_cols)], nv)
     b_eq = np.concatenate([np.tile([1.0, 0.0], k), np.full(2 * m, -epsilon)])
 
-    # rows 3i..3i+2: the octagonal ceilings on coefficient i; then rows
-    # 8t..8t+7 of the caps, which rotate (P_t, Q_t) by j pi / 4
-    A_ub = np.zeros((3 * N + 8 * m, nv))
-    ceilings = A_ub[:3 * N, :5 * N].reshape(N, 3, 5, N)
-    ceilings[np.arange(N), :, :, np.arange(N)] = _OCTAGON
-    caps = A_ub[3 * N:, 5 * N:].reshape(m, 8, m, 2)
-    caps[np.arange(m), :, np.arange(m)] = _CAP_DIRS
+    # rows 3i..3i+2: the octagonal ceilings on coefficient i over its
+    # (p, q, u, w, r) columns; then rows 8t..8t+7 of the caps, which rotate
+    # (P_t, Q_t) by j pi / 4
+    ceiling_cols = np.repeat(np.arange(N)[:, None] + N * np.arange(5), 3, axis=0)
+    cap_cols = np.repeat(5 * N + 2 * np.arange(m)[:, None] + np.arange(2), 8, axis=0)
+    A_ub = _csr_rows([(np.tile(_OCTAGON, (N, 1)), ceiling_cols), (np.tile(_CAP_DIRS, (m, 1)), cap_cols)], nv)
     b_caps = epsilon * _COS8 + epsilon * _CAP_DIRS.sum(axis=1)
     b_ub = np.concatenate([np.zeros(3 * N), np.tile(b_caps, m)])
     return c, A_eq, b_eq, A_ub, b_ub
@@ -300,10 +322,11 @@ def approx_indicator(
     over 5 N + 2 |F| variables, solved by lp_solve's interior point.
 
     Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and the
-    dense LP input, (rows + 1) x variables, within lp_solve's
-    LP_MAX_ENTRIES (2^25).  That admits degree 512 at |F| = 200 for every
-    |K| allowed there, and degree <= 366 at |F| = 499; larger requests are
-    refused before any row is built.
+    LP's dense size, (rows + 1) x variables, within lp_solve's
+    LP_MAX_ENTRIES (2^25), though the matrices are built sparse.  That
+    admits degree 512 at |F| = 200 for every |K| allowed there, and
+    degree <= 366 at |F| = 499; larger requests are refused before any row
+    is built.
     """
     if degree < 1 or degree > 512:
         raise OutOfRange(f"degree must be in 1..512, got {degree}")
@@ -359,11 +382,17 @@ def projector_series(
     p: float,
     k_terms: int,
     degree: int,
+    workers: int = 1,
 ) -> List[ApproxIndicator]:
     """Indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms.
 
     Terms with eps_k below the double-precision floor 1e-14 are dropped.
-    Consecutive sup differences on K u F are re-checked against 2 eps_k.
+    The stages are independent LPs, solved on a pool of `workers` threads
+    (HiGHS releases the GIL), smallest eps first since those take the most
+    iterations; they are returned in eps order, and a stage's exception is
+    re-raised here.  Each stage in flight holds its own LP and HiGHS
+    memory.  Consecutive sup differences on K u F are re-checked against
+    2 eps_k.
     """
     if p < 2.0 or p > 16.0:
         raise OutOfRange(f"p must lie in [2, 16], got {p}")
@@ -371,7 +400,12 @@ def projector_series(
         raise OutOfRange(f"k_terms must be in 1..6, got {k_terms}")
     eps_list = [math.exp(-k * p) for k in range(1, k_terms + 1)]
     eps_list = [e for e in eps_list if e >= 1e-14]
-    series = [approx_indicator(K, F_samples, e, degree) for e in eps_list]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        stages = {e: pool.submit(approx_indicator, K, F_samples, e, degree) for e in sorted(eps_list)}
+        try:
+            series = [stages[e].result() for e in eps_list]
+        finally:
+            pool.shutdown(cancel_futures=True)  # a failed stage drops those not yet started
     pts = np.concatenate([K.values(), np.array(F_samples, dtype=float)])
     for k in range(len(series) - 1):
         d = np.max(
@@ -434,7 +468,8 @@ def apply_projector(
         for m, _ in model.modes
         if lamK.size and min(_circle_dist(model.eigenvalue(m), lam) for lam in lamK) <= tol_match
     ]
-    coeffs = {(m,): cm for m, cm in model.modes if m in set(kept)}
+    kept_set = set(kept)
+    coeffs = {(m,): cm for m, cm in model.modes if m in kept_set}
     return SparseTrigPoly(1, coeffs), kept
 
 

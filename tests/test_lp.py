@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from helson_lab import linprog
 from helson_lab.errors import Infeasible, OutOfRange, Unbounded
@@ -126,3 +127,19 @@ def test_interior_point_result_is_a_reproducible_vertex():
     assert a.x.tobytes() == b2.x.tobytes() and a.iterations == b2.iterations > 0
     # crossover ends on the planted basis: exact zeros off it
     assert np.count_nonzero(a.x) == 12 and np.array_equal(a.x != 0, x_star != 0)
+
+
+def test_dense_and_sparse_input_give_the_same_bytes():
+    # both forms reach HiGHS as csr_array(A): the same matrix, the same solution
+    rng = np.random.default_rng(3)
+    c, A, b, _, _ = _planted_lp(rng, 10, 24)
+    G = np.where(rng.random((6, 24)) < 0.3, rng.normal(size=(6, 24)), 0.0)
+    h = np.abs(G) @ np.full(24, 10.0) + 1.0
+    dense = lp_solve(c, A_eq=A, b_eq=b, A_ub=G, b_ub=h)
+    sparse = lp_solve(c, A_eq=csr_array(A), b_eq=b, A_ub=csr_array(G), b_ub=h)
+    assert sparse.x.tobytes() == dense.x.tobytes()
+    assert sparse.duals_eq.tobytes() == dense.duals_eq.tobytes()
+    assert sparse.duals_ub.tobytes() == dense.duals_ub.tobytes()
+    assert sparse.iterations == dense.iterations > 0
+    with pytest.raises(OutOfRange, match="width"):
+        lp_solve(c, A_eq=csr_array(A[:, :-1]), b_eq=b)

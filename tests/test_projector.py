@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from helson_lab import projector
 from helson_lab.errors import InfeasibleSeparation, OutOfRange
@@ -252,7 +254,8 @@ def test_indicator_row_envelope_matches_solver(monkeypatch):
     rows = seen["A_eq"].shape[0] + seen["A_ub"].shape[0]
     assert rows == 3 * 33 + 2 * 1 + 10 * 40
     assert seen["c"].size == seen["A_eq"].shape[1] == seen["A_ub"].shape[1] == 5 * 33 + 2 * 40
-    assert all(isinstance(seen[k], np.ndarray) for k in ("c", "A_eq", "b_eq", "A_ub", "b_ub"))
+    assert all(isinstance(seen[k], np.ndarray) for k in ("c", "b_eq", "b_ub"))
+    assert all(isinstance(seen[k], csr_array) for k in ("A_eq", "A_ub"))
     # one degree past the largest admitted at |F| = 499: refused before any
     # row is built, and its entry count is past what lp_solve admits
     built = _refuse_build(monkeypatch)
@@ -310,7 +313,8 @@ def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
     K, F = _grid_kf(n_k, n_f)
     with pytest.raises(_Captured):
         approx_indicator(K, F, 0.05, degree=degree)
-    c, A_eq, b_eq, A_ub, b_ub = (seen[k] for k in ("c", "A_eq", "b_eq", "A_ub", "b_ub"))
+    c, b_eq, b_ub = (seen[k] for k in ("c", "b_eq", "b_ub"))
+    A_eq, A_ub = seen["A_eq"].toarray(), seen["A_ub"].toarray()
     rc, rA_eq, rb_eq, rA_ub, rb_ub = _loop_lp(K.values(), np.array(F), 0.05, degree)
     N, k, m = 2 * degree + 1, n_k, n_f
     nv = 5 * N + 2 * m
@@ -336,6 +340,56 @@ def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
         assert np.array_equal(composed, rA_ub[3 * N + 8 * t:3 * N + 8 * t + 8])
         shifted = b_caps[8 * t:8 * t + 8] - 0.05 * (a + b).ravel()
         assert np.allclose(shifted, rb_ub[3 * N + 8 * t:3 * N + 8 * t + 8], rtol=0, atol=1e-16)
+
+
+def _lifted_loop_matrices(lamK, ts, degree):
+    """Row-at-a-time dense A_eq and A_ub of the lifted indicator LP (reference oracle)."""
+    ns = np.arange(-degree, degree + 1)
+    N, k, m = ns.size, lamK.size, ts.size
+    nv = 5 * N + 2 * m
+    A_eq = np.zeros((2 * (k + m), nv))
+    for i, lam in enumerate(np.concatenate([lamK, ts])):
+        cn = np.cos(2.0 * np.pi * ns * lam)
+        sn = np.sin(2.0 * np.pi * ns * lam)
+        A_eq[2 * i, :4 * N] = np.concatenate([cn, -cn, -sn, sn])
+        A_eq[2 * i + 1, :4 * N] = np.concatenate([sn, -sn, cn, -cn])
+        if i >= k:
+            A_eq[2 * i, 5 * N + 2 * (i - k)] = A_eq[2 * i + 1, 5 * N + 2 * (i - k) + 1] = -1.0
+    A_ub = np.zeros((3 * N + 8 * m, nv))
+    for i in range(N):
+        for j, (blocks, r_coef) in enumerate(
+            (((0, 1), -1.0), ((2, 3), -1.0), ((0, 1, 2, 3), -math.sqrt(2.0)))
+        ):
+            for b in blocks:
+                A_ub[3 * i + j, b * N + i] = 1.0
+            A_ub[3 * i + j, 4 * N + i] = r_coef
+    for t in range(m):
+        for j in range(8):
+            th = j * math.pi / 4.0
+            A_ub[3 * N + 8 * t + j, 5 * N + 2 * t] = math.cos(th)
+            A_ub[3 * N + 8 * t + j, 5 * N + 2 * t + 1] = math.sin(th)
+    return A_eq, A_ub
+
+
+@pytest.mark.parametrize("degree,n_k,n_f", [(24, 8, 24), (64, 4, 100), (1, 1, 0), (9, 3, 0), (16, 1, 40)])
+def test_indicator_lp_sparse_structure_matches_dense_oracle(degree, n_k, n_f):
+    # the sparse build is csr_array of the dense lifted LP, entry for entry:
+    # canonical indices, no explicit zeros (the n = 0 sines, and the 0 in
+    # the first cap direction, are dropped; the 6e-17 cos(pi/2) caps stay)
+    K, F = _grid_kf(n_k, n_f)
+    if n_k == 1:
+        K = FiniteFrequencySet((Fraction(0),))  # lambda = 0: every sine on K is an exact zero
+    lamK, ts = K.values(), np.array(F)
+    _, A_eq, _, A_ub, _ = projector._indicator_lp(lamK, ts, 0.05, np.arange(-degree, degree + 1))
+    for built, dense in zip((A_eq, A_ub), _lifted_loop_matrices(lamK, ts, degree)):
+        ref = csr_array(dense)
+        assert isinstance(built, csr_array) and built.shape == ref.shape
+        assert built.has_canonical_format and np.all(built.data != 0.0)
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(built, field), getattr(ref, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # numpy readers of the matrices (np.asarray) still get the dense array
+        assert np.array_equal(np.asarray(built), dense)
 
 
 @pytest.mark.parametrize("degree,n_k,n_f,eps", [
@@ -397,6 +451,56 @@ def test_series_sup_differences(golden_kf):
         eps_k = series[k].epsilon
         d = np.max(np.abs(series[k + 1].phi.evaluate(pts[:, None]) - series[k].phi.evaluate(pts[:, None])))
         assert d <= 2.0 * eps_k + 1e-6
+
+
+def test_series_pool_matches_one_worker(golden_kf):
+    K, F = golden_kf
+    one = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=1)
+    two = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=2)
+    assert [ind.to_json_dict() for ind in two] == [ind.to_json_dict() for ind in one]
+
+
+def test_series_solves_smallest_eps_first(monkeypatch, golden_kf):
+    # the small-eps stages take the most iterations, so they start first;
+    # the series still comes back in eps order
+    K, F = golden_kf
+    real, started = projector.approx_indicator, []
+
+    def recording(K, F_samples, epsilon, degree):
+        started.append(epsilon)
+        return real(K, F_samples, epsilon, degree)
+
+    monkeypatch.setattr(projector, "approx_indicator", recording)
+    series = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=1)
+    assert started == sorted(started) and len(started) == 3
+    assert [ind.epsilon for ind in series] == sorted(started, reverse=True)
+
+
+def test_series_stage_failure_propagates(monkeypatch, golden_kf):
+    # one stage raising on the pool surfaces in the caller; the run ends
+    K, F = golden_kf
+    real = projector.approx_indicator
+    failing = math.exp(-4.0)
+
+    def flaky(K, F_samples, epsilon, degree):
+        if epsilon == failing:
+            raise InfeasibleSeparation(f"stage eps={epsilon} refused")
+        return real(K, F_samples, epsilon, degree)
+
+    monkeypatch.setattr(projector, "approx_indicator", flaky)
+    raised: list = []
+
+    def run():
+        try:
+            projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=2)
+        except InfeasibleSeparation as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert len(raised) == 1 and "refused" in str(raised[0])
 
 
 def test_series_floor_drops_tiny_terms():
