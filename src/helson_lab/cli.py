@@ -298,8 +298,8 @@ def _cmd_gauss_sim(args) -> int:
     if "increments" in wanted and len(freqs) >= 2:
         # split the atoms at the median frequency into two disjoint windows
         mid = freqs[len(freqs) // 2]
-        fam = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
-        dep = G.increment_dependence_test(fam, 0, 1, seed=args.seed)
+        increments = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
+        dep = G.increment_dependence_test(increments, 0, 1, seed=args.seed)
         report["increments"] = dep.to_json_dict()
     jpath = os.path.join(args.out, "gauss_sim.json")
     _write_json(jpath, report)

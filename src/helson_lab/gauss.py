@@ -4,11 +4,11 @@ Synthesizes X_n = sum_j sqrt(w_j) xi_j e^{2 pi i n lambda_j} where xi_j are
 either independent standard complex Gaussians (GaussianModel) or independent
 unit random phases (RandomPhaseModel); both share the covariance
 sum_j w_j e^{2 pi i g lambda_j}.  On top of the sequences: time-average
-spectral estimation with honest standard errors, the threshold family of
-sub-sums f_t with increment diagnostics, empirical L^p moment growth
-(Carleman partial sums sum_k 1/||f||_{2k}, log-convexity), and per-k
-z-scores against the complex-Gaussian moment ladder
-E|X|^{2k} = k! (E|X|^2)^k.
+spectral estimation with honest standard errors, the increments of the
+threshold family f_t (sub-sums over frequency windows) with dependence
+diagnostics, empirical L^p moment growth (Carleman partial sums
+sum_k 1/||f||_{2k}, log-convexity), and per-k z-scores against the
+complex-Gaussian moment ladder E|X|^{2k} = k! (E|X|^2)^k.
 
 Only atomic spectra are simulated here; continuous spectral measures can
 only be mimicked by many small atoms, and every dynamical statement this
@@ -16,9 +16,10 @@ module outputs is a finite-sample consistency diagnostic, never a proof.
 
 Standard errors combine two scales: batched time averaging (ergodic noise)
 and the realization scatter of per-atom powers w_j |xi_j|^2, estimated by
-resampling the observed atom powers.  A sequence whose atom powers carry no
-scatter (deterministic moduli) gets a collapsed realization term, which is
-what makes the Gaussian/random-phase discrimination sharp.
+resampling the atom powers observed at the spectrum's known frequencies.
+A sequence whose atom powers carry no scatter (deterministic moduli) gets a
+collapsed realization term, which is what makes the Gaussian/random-phase
+discrimination sharp.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange
-from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _synthesize, golden_min
+from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _synthesize
 
 _BATCHES = 32  # batch-means blocks for time standard errors
 _SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
+_GAUSS_BOOT = 400  # atom-power resamples behind gaussianity_test's realization se
+_INCREMENT_BOOT = 1000  # circular-shift surrogates behind increment_dependence_test
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +203,12 @@ def estimate_spectral(seq: np.ndarray, g_max: int) -> List[SpectralPoint]:
 # the threshold family f_t and increment diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpectralProcessFamily:
-    """Sub-sums f_t over atoms with frequency < t, sharing one set of draws."""
+def spectral_process(model, thresholds: Sequence[float]) -> Tuple[np.ndarray, ...]:
+    """Increments of the threshold family f_t: the sub-sums over each window [a, b).
 
-    thresholds: Tuple[float, ...]
-    f_values: Tuple[np.ndarray, ...]
-    increments: Tuple[np.ndarray, ...]
-    window_bounds: Tuple[Tuple[float, float], ...]
-    window_weights: Tuple[float, ...]
-    window_atom_counts: Tuple[int, ...]
-
-
-def spectral_process(model, thresholds: Sequence[float]) -> SpectralProcessFamily:
-    """Family f_t for increasing thresholds; increments are window sub-sums.
-
-    Atoms are ordered by frequency; amplitude draws are indexed by that
-    order, so f_t at t = 1 reproduces simulate(model) exactly and increments
+    One increment per pair of consecutive thresholds.  Atoms are ordered by
+    frequency and amplitude draws are indexed by that order, so the
+    increments at thresholds (0, t, 1) sum to simulate(model) and increments
     over disjoint windows use disjoint draws.
     """
     ts = [float(t) for t in thresholds]
@@ -226,38 +218,10 @@ def spectral_process(model, thresholds: Sequence[float]) -> SpectralProcessFamil
         raise OutOfRange("thresholds must lie in [0, 1]")
     lam, amps = _model_amplitudes(model)
     T = _check_len(model.T_len)
-
-    def window_sum(a: float, b: float) -> np.ndarray:
-        mask = (lam >= a) & (lam < b)
-        if not np.any(mask):
-            return np.zeros(T, dtype=complex)
-        return _synthesize(_block_phasors(lam[mask], T), amps[mask], T)
-
-    f_vals = []
-    acc = window_sum(0.0, ts[0])
-    f_vals.append(acc.copy())
-    increments = []
-    bounds = []
-    weights = []
-    counts = []
-    w = np.abs(amps) ** 2  # realized atom powers w_j |xi_j|^2
-    true_w = _validated_spectrum(model.spectrum)[1]
-    for a, b in zip(ts, ts[1:]):
-        inc = window_sum(a, b)
-        increments.append(inc)
-        acc = acc + inc
-        f_vals.append(acc.copy())
-        mask = (lam >= a) & (lam < b)
-        bounds.append((a, b))
-        weights.append(float(np.sum(true_w[mask])))
-        counts.append(int(np.sum(mask)))
-    return SpectralProcessFamily(
-        thresholds=tuple(ts),
-        f_values=tuple(f_vals),
-        increments=tuple(increments),
-        window_bounds=tuple(bounds),
-        window_weights=tuple(weights),
-        window_atom_counts=tuple(counts),
+    masks = [(lam >= a) & (lam < b) for a, b in zip(ts, ts[1:])]
+    return tuple(
+        _synthesize(_block_phasors(lam[m], T), amps[m], T) if m.any() else np.zeros(T, dtype=complex)
+        for m in masks
     )
 
 
@@ -282,17 +246,16 @@ class IncrementDependenceReport:
 
 
 def increment_dependence_test(
-    family: SpectralProcessFamily,
+    increments: Sequence[np.ndarray],
     window_a: int,
     window_b: int,
-    n_boot: int = 1000,
     seed: int = 0,
 ) -> IncrementDependenceReport:
-    """Cross-moment diagnostic for two disjoint increments.
+    """Cross-moment diagnostic for two disjoint increments of spectral_process.
 
     stat_cross is the time correlation of |increment_a|^2 and
     |increment_b|^2; its null distribution under independent almost-periodic
-    signals is built from n_boot circular-shift surrogates, and the verdict
+    signals is built from 1000 circular-shift surrogates, and the verdict
     compares against the 99% quantile of |surrogate|.
 
     Caveats the verdict inherits from time averaging: disjoint windows use
@@ -308,8 +271,8 @@ def increment_dependence_test(
     """
     if window_a == window_b:
         raise OutOfRange("windows must differ")
-    da = family.increments[window_a]
-    db = family.increments[window_b]
+    da = increments[window_a]
+    db = increments[window_b]
     A = np.abs(da) ** 2
     B = np.abs(db) ** 2
     A0 = A - A.mean()
@@ -326,7 +289,7 @@ def increment_dependence_test(
         # all circular shifts at once via FFT cross-correlation
         cross = np.fft.irfft(np.fft.rfft(A0) * np.conj(np.fft.rfft(B0)), n=T) / T
         rng = np.random.default_rng(seed)
-        shifts = rng.integers(1, T, size=n_boot)
+        shifts = rng.integers(1, T, size=_INCREMENT_BOOT)
         q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
     ortho_sum, bm = _batch_dots(da, np.conj(db))
     ortho = ortho_sum / T
@@ -343,7 +306,7 @@ def increment_dependence_test(
         dependent=bool(abs(stat) > q99),
         orthogonality_z=z_o,
         flatness=(flat(A), flat(B)),
-        n_boot=int(n_boot),
+        n_boot=_INCREMENT_BOOT,
     )
 
 
@@ -469,52 +432,6 @@ def _random_phase_moment(k: int, W: np.ndarray) -> np.ndarray:
     return math.factorial(k) ** 2 * poly[:, k]
 
 
-def _atom_spectrum(lam: float, T: int) -> np.ndarray:
-    """fft(e^{2 pi i n lam}, n < T) / T in closed form: the Dirichlet kernel.
-
-    Bin b holds (1 - e^{2 pi i T d}) / (T (1 - e^{2 pi i d})), d = lam - b/T,
-    written as sin(pi T d) / (T sin(pi d)) e^{i pi (T - 1) d} with d reduced
-    to [-1/2, 1/2] (the value is 1-periodic in d), so no 1 - e^{...} cancels.
-    """
-    d = lam - np.arange(T) / T
-    d -= np.round(d)
-    den = T * np.sin(np.pi * d)
-    ratio = np.divide(np.sin(np.pi * T * d), den, out=np.ones(T), where=den != 0)
-    return ratio * np.exp(1j * np.pi * (T - 1) * d)
-
-
-def _detect_atom_powers(seq: np.ndarray, max_atoms: int = 64) -> Tuple[np.ndarray, np.ndarray]:
-    """FFT peak scan with sub-bin refinement; returns (frequencies, powers).
-
-    Each refined atom is subtracted, in closed form, from the spectrum and
-    from the sequence before the next peak is taken and refined, so the
-    leakage side lobes of the atoms found are not taken for atoms.
-    """
-    T = seq.size
-    resid = np.array(seq, dtype=complex)
-    spec = np.fft.fft(resid) / T
-    total = float(np.sum(np.abs(spec) ** 2))
-    notch = np.zeros(T, dtype=bool)
-    found_lam: List[float] = []
-    found_w: List[float] = []
-    for _ in range(max_atoms):
-        work = np.abs(spec) ** 2
-        work[notch] = 0.0
-        b = int(np.argmax(work))
-        if work[b] < 1e-4 * total or work[b] <= 0:
-            break
-        lo, hi = (b - 0.6) / T, (b + 0.6) / T
-        peak = lambda x: -abs(_amplitudes_at(resid, np.array([x]))[0])  # noqa: E731
-        lam = golden_min(peak, lo, hi, iters=28) % 1.0
-        amp = complex(_amplitudes_at(resid, np.array([lam]))[0])
-        found_lam.append(lam)
-        found_w.append(abs(amp) ** 2)
-        spec -= amp * _atom_spectrum(lam, T)
-        resid -= _synthesize(_block_phasors(np.array([lam]), T), np.array([amp]), T)
-        notch[(b + np.arange(-2, 3)) % T] = True
-    return np.array(found_lam), np.array(found_w)
-
-
 @dataclass(frozen=True)
 class GaussianityReport:
     k_values: Tuple[int, ...]
@@ -537,38 +454,28 @@ class GaussianityReport:
         }
 
 
-def gaussianity_test(
-    seq: np.ndarray,
-    k_max: int,
-    freqs: Optional[Sequence[float]] = None,
-    n_boot: int = 400,
-) -> GaussianityReport:
+def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> GaussianityReport:
     """z-scores of E|X|^{2k} against the Gaussian ladder k! (E|X|^2)^k.
 
     The standard error adds batched time noise to a realization term from
-    resampling the observed per-atom powers (estimated at the given
-    frequencies, or detected from FFT peaks): for each resample the
-    deviation predicted by the phase-average closed form is recomputed, and
-    its scatter estimates how much the realized deviation itself varies
-    across realizations.  A standard error at rounding level (below 1e-12
-    of the Gaussian value k! m_2^k, e.g. np.std of 400 equal bootstrap
-    values) counts as 0, and a k whose standard error is 0 and whose
-    deviation is not gets z = None (JSON null).  Verdict:
-    Gaussian-consistent iff every z is a number with |z| <= 3.
+    resampling the per-atom powers observed at the given frequencies (at
+    least one; 400 resamples): for each resample the deviation predicted by
+    the phase-average closed form is recomputed, and its scatter estimates
+    how much the realized deviation itself varies across realizations.  A
+    standard error at rounding level (below 1e-12 of the Gaussian value
+    k! m_2^k, e.g. np.std of 400 equal bootstrap values) counts as 0, and a
+    k whose standard error is 0 and whose deviation is not gets z = None
+    (JSON null).  Verdict: Gaussian-consistent iff every z is a number with
+    |z| <= 3.
     """
     if k_max < 1 or k_max > 6:
         raise OutOfRange(f"k_max must be in 1..6, got {k_max}")
+    if len(freqs) == 0:
+        raise OutOfRange("freqs must hold at least one atom frequency")
     seq = np.asarray(seq)
     a2 = np.abs(seq) ** 2
     m2 = float(np.mean(a2))
-
-    if freqs is not None:
-        lams = np.array([float(l) % 1.0 for l in freqs])
-        W = np.abs(_amplitudes_at(seq, lams)) ** 2
-    else:
-        _, W = _detect_atom_powers(seq)
-    if W.size == 0:
-        W = np.array([m2])
+    W = np.abs(_amplitudes_at(seq, np.array([float(l) % 1.0 for l in freqs]))) ** 2
 
     ks = list(range(1, k_max + 1))
     devs: List[float] = []
@@ -576,7 +483,7 @@ def gaussianity_test(
     se_r: List[float] = []
     zs: List[Optional[float]] = []
     rng = np.random.default_rng(8569203)
-    idx = rng.integers(0, W.size, size=(n_boot, W.size))
+    idx = rng.integers(0, W.size, size=(_GAUSS_BOOT, W.size))
     W_boot = W[idx]
     W_boot_sum = np.sum(W_boot, axis=1)
     for k in ks:

@@ -62,23 +62,16 @@ class LPResult:
     duality_gap: float
 
 
-def lp_solve(
-    c,
-    A_eq=None,
-    b_eq=None,
-    A_ub=None,
-    b_ub=None,
-    max_iter: int = 100_000,
-) -> LPResult:
+def lp_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
     """Solve min c.x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
     A_eq and A_ub may be dense or scipy sparse; either is converted by
     csr_array(A).  Solved by HiGHS interior point with crossover.  The guard
     is sized by what the dense input would cost: (rows + 1) x variables <=
     LP_MAX_ENTRIES (2^25, 256 MiB of float64), refused before HiGHS sees
-    it.  Optimality is certified by the dual values: duality_gap <= GAP_TOL
-    * (1 + |objective|) (GAP_TOL = 1e-8) in practice; callers that certify
-    results re-check it.
+    it, and HiGHS stops after 100,000 iterations.  Optimality is certified
+    by the dual values: duality_gap <= GAP_TOL * (1 + |objective|)
+    (GAP_TOL = 1e-8) in practice; callers that certify results re-check it.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -105,7 +98,7 @@ def lp_solve(
         b_eq=b_eq if m_eq else None,
         bounds=(0.0, None),
         method="highs-ipm",
-        options={"maxiter": int(max_iter)},
+        options={"maxiter": 100_000},
     )
     if res.status == 2:
         raise Infeasible("no feasible point satisfies the constraints")

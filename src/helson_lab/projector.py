@@ -97,10 +97,10 @@ def _normalize_l1(w: np.ndarray) -> np.ndarray:
     return w / s
 
 
-def _polish(sup: Callable[[np.ndarray], float], w: np.ndarray, sweeps: int = 4) -> np.ndarray:
-    """Coordinate descent: per-atom phase search, then pairwise mass transfer."""
+def _polish(sup: Callable[[np.ndarray], float], w: np.ndarray) -> np.ndarray:
+    """Coordinate descent, 4 sweeps: per-atom phase search, then pairwise mass transfer."""
     k = w.size
-    for _ in range(sweeps):
+    for _ in range(4):
         for j in range(k):
             if abs(w[j]) < 1e-14:
                 continue

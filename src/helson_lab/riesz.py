@@ -27,11 +27,12 @@ from .errors import BudgetExceeded, NotDissociate, OutOfRange
 _LEVEL_WORK_CAP = 5_000_000  # states per support-level scan
 
 
-def _signed_sums(freqs: Tuple[int, ...], coeff_range: np.ndarray) -> np.ndarray:
-    """All sums sum_j c_j n_j with c_j ranging over coeff_range."""
+def _signed_sums(freqs: Tuple[int, ...], coeffs: Tuple[int, ...]) -> np.ndarray:
+    """All sums sum_j c_j n_j with each c_j ranging over coeffs, as int64."""
+    cs = np.array(coeffs, dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for n in freqs:
-        sums = (sums[:, None] + np.int64(n) * coeff_range[None, :]).ravel()
+        sums = (sums[:, None] + np.int64(n) * cs[None, :]).ravel()
     return sums
 
 
@@ -54,7 +55,7 @@ def _certify_dissociate(freqs: Tuple[int, ...]) -> None:
                 f"{N} frequencies exceed the exhaustive budget and fail the doubling criterion"
             )
         return
-    diff_range = np.arange(-2, 3, dtype=np.int64)
+    diff_range = (-2, -1, 0, 1, 2)
     half = N // 2
     left, right = freqs[:half], freqs[half:]
     d_left = _signed_sums(left, diff_range)
@@ -96,16 +97,16 @@ class RieszProductSpec:
 
 @lru_cache(maxsize=16)
 def _mitm_tables(freqs: Tuple[int, ...]):
-    """Sorted half-sum tables: (sums_left, nnz_left, sums_right, nnz_right)."""
-    N = len(freqs)
-    half = N // 2
+    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
+
+    nnz counts the nonzero signs behind each sum.  The spec is dissociate, so
+    each half's sums are distinct and their sorted order is unique.
+    """
+    half = len(freqs) // 2
     out = []
     for part in (freqs[:half], freqs[half:]):
-        sums = np.zeros(1, dtype=np.int64)
-        nnz = np.zeros(1, dtype=np.int8)
-        for n in part:
-            sums = np.concatenate([sums, sums + n, sums - n])
-            nnz = np.concatenate([nnz, nnz + 1, nnz + 1])
+        sums = _signed_sums(part, (0, 1, -1))
+        nnz = _signed_sums((1,) * len(part), (0, 1, 1))
         order = np.argsort(sums, kind="stable")
         table = (sums[order], nnz[order])
         for arr in table:  # the cache hands these to every caller, on any thread
@@ -189,7 +190,7 @@ def full_support(spec: RieszProductSpec) -> Tuple[np.ndarray, np.ndarray]:
         raise OutOfRange("full support enumeration supports N <= 12")
     (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
     m = (sl[:, None] + sr[None, :]).ravel()
-    nnz = (nl[:, None].astype(np.int64) + nr[None, :].astype(np.int64)).ravel()
+    nnz = (nl[:, None] + nr[None, :]).ravel()
     order = np.argsort(m, kind="stable")
     return m[order], (spec.alpha / 2.0) ** nnz[order]
 

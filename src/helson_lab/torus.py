@@ -43,13 +43,13 @@ def freq_value(f: Frequency) -> float:
     return float(f)
 
 
-def golden_min(fun: Callable[[float], float], a: float, b: float, iters: int = 36) -> float:
-    """Golden-section search for a minimizer of a unimodal fun on [a, b]."""
+def golden_min(fun: Callable[[float], float], a: float, b: float) -> float:
+    """Golden-section search for a minimizer of a unimodal fun on [a, b], 36 steps."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
+    for _ in range(36):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)

@@ -311,16 +311,13 @@ def test_spectral_matches_per_lag_oracle(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5_000), st.integers(0, 2 ** 32 - 1), st.integers(1, 400))
-@example(33, 0, 1000)
-def test_increment_dependence_matches_complex_fft_oracle(T, seed, n_boot):
+@given(st.integers(2, 5_000), st.integers(0, 2 ** 32 - 1))
+@example(33, 0)
+def test_increment_dependence_matches_complex_fft_oracle(T, seed):
     da, db = _complex_noise(seed, T), _complex_noise(seed + 1, T, 0.5)
-    fam = G.SpectralProcessFamily(
-        thresholds=(0.0, 0.5, 1.0), f_values=(), increments=(da, db),
-        window_bounds=(), window_weights=(), window_atom_counts=(),
-    )
-    rep = G.increment_dependence_test(fam, 0, 1, n_boot=n_boot, seed=seed)
-    stat, q99, z_o = _increment_oracle(da, db, n_boot, seed)
+    rep = G.increment_dependence_test((da, db), 0, 1, seed=seed)
+    stat, q99, z_o = _increment_oracle(da, db, 1000, seed)
+    assert rep.n_boot == 1000
     assert abs(rep.stat_cross - stat) <= 1e-12
     assert abs(rep.null_q99 - q99) <= 1e-12
     assert abs(rep.orthogonality_z - z_o) <= 1e-10 * max(1.0, z_o)
@@ -331,12 +328,16 @@ def test_increment_dependence_matches_complex_fft_oracle(T, seed, n_boot):
 def test_process_full_threshold_reproduces_simulate():
     for cls in (G.GaussianModel, G.RandomPhaseModel):
         model = cls(spectrum=SPEC8, T_len=10_000, seed=4)
-        fam = G.spectral_process(model, [LAM8[3] + 1e-9, 1.0])
-        assert np.allclose(fam.f_values[-1], G.simulate(model), atol=1e-9)
-        assert fam.window_atom_counts == (4,)
-        assert abs(fam.window_weights[0] - 0.5) < 1e-12
-        recon = fam.f_values[0] + sum(fam.increments)
-        assert np.allclose(recon, fam.f_values[-1], atol=1e-9)
+        low, high = G.spectral_process(model, [0.0, LAM8[3] + 1e-9, 1.0])
+        assert np.allclose(low + high, G.simulate(model), atol=1e-9)
+        # the window below LAM8[3] holds the four lowest atoms and their draws
+        amps = math.sqrt(1.0 / 8) * model.unit_amplitudes(8)[:4]
+        assert np.allclose(low, _direct_synthesis(np.array(LAM8[:4]), amps, 10_000), atol=1e-9)
+        # windows are [a, b): a threshold at the lowest atom keeps it, as gauss-sim's split does
+        assert np.array_equal(G.spectral_process(model, [LAM8[0], LAM8[3] + 1e-9])[0], low)
+        # a window without atoms is the zero sequence
+        (empty,) = G.spectral_process(model, [LAM8[-1] + 1e-9, 1.0])
+        assert empty.shape == (10_000,) and not np.any(empty)
 
 
 NONRES = np.sort(np.random.default_rng(42).random(6))
@@ -347,8 +348,8 @@ TH_NONRES = [float(NONRES[2]) + 1e-9, float(NONRES[4]) + 1e-9, 1.0]
 def test_increments_uncorrelated_and_not_flagged_dependent():
     # disjoint windows draw disjoint amplitudes in both model classes
     for cls in (G.GaussianModel, G.RandomPhaseModel):
-        fam = G.spectral_process(cls(spectrum=SPEC_NONRES, T_len=100_000, seed=5), TH_NONRES)
-        rep = G.increment_dependence_test(fam, 0, 1, seed=3)
+        inc = G.spectral_process(cls(spectrum=SPEC_NONRES, T_len=100_000, seed=5), TH_NONRES)
+        rep = G.increment_dependence_test(inc, 0, 1, seed=3)
         assert rep.orthogonality_z <= 4.0
         assert not rep.dependent
         assert rep.null_q99 >= 0.0
@@ -357,15 +358,15 @@ def test_increments_uncorrelated_and_not_flagged_dependent():
 def test_flatness_pins_random_phase_at_ceiling():
     # equal-weight 2-atom window: var/mean^2 of |inc|^2 is exactly 1/2 for
     # unit moduli, Gaussian draws scatter it below
-    fam_r = G.spectral_process(
+    inc_r = G.spectral_process(
         G.RandomPhaseModel(spectrum=SPEC_NONRES, T_len=100_000, seed=5), TH_NONRES
     )
-    rep_r = G.increment_dependence_test(fam_r, 0, 1, seed=3)
+    rep_r = G.increment_dependence_test(inc_r, 0, 1, seed=3)
     assert abs(rep_r.flatness[0] - 0.5) < 1e-3
-    fam_g = G.spectral_process(
+    inc_g = G.spectral_process(
         G.GaussianModel(spectrum=SPEC_NONRES, T_len=100_000, seed=5), TH_NONRES
     )
-    rep_g = G.increment_dependence_test(fam_g, 0, 1, seed=3)
+    rep_g = G.increment_dependence_test(inc_g, 0, 1, seed=3)
     assert rep_g.flatness[0] < 0.47
 
 
@@ -377,9 +378,9 @@ def test_process_guards():
         G.spectral_process(model, [0.5, 0.5])
     with pytest.raises(OutOfRange):
         G.spectral_process(model, [0.2, 1.5])
-    fam = G.spectral_process(model, [0.5, 1.0])
+    inc = G.spectral_process(model, [0.0, 0.5, 1.0])
     with pytest.raises(OutOfRange):
-        G.increment_dependence_test(fam, 0, 0)
+        G.increment_dependence_test(inc, 0, 0)
 
 
 # -- moment report ----------------------------------------------------------
@@ -489,17 +490,6 @@ def test_noiseless_deviation_reports_null_z():
     assert rep.z_scores == (0.0,) and rep.gaussian_consistent
 
 
-def test_atom_power_detection_matches_given_frequencies():
-    lam = [0.123, 0.456, 0.789]
-    spec = AtomicCircleMeasure.from_pairs([(l, 1.0 / 3) for l in lam])
-    x = G.simulate(G.GaussianModel(spectrum=spec, T_len=50_000, seed=4))
-    given = G.gaussianity_test(x, 3, freqs=lam)
-    auto = G.gaussianity_test(x, 3)
-    assert len(auto.atom_powers) == 3
-    assert np.allclose(sorted(auto.atom_powers), sorted(given.atom_powers), atol=1e-3)
-    assert max(abs(a - b) for a, b in zip(auto.z_scores, given.z_scores)) < 0.2
-
-
 def _random_phase_moment_scalar(k, W):
     """k!^2 [x^k] prod_j sum_a (W_j^a / a!^2) x^a for one set of atom powers."""
     fact_sq = np.array([math.factorial(a) ** 2 for a in range(k + 1)], dtype=float)
@@ -535,89 +525,23 @@ def test_bootstrap_matches_per_resample_loop(xg_200k):
         assert abs(rep.se_realization[k - 1] - sr) <= 1e-9 * sr + 1e-15
 
 
-@pytest.mark.parametrize(
-    "T,lam", [(1_000, 0.3217), (64, 0.25), (7, 0.999999), (50, 0.0), (9, 1e-7), (200_000, 0.61803)]
-)
-def test_atom_spectrum_is_fft_of_one_atom(T, lam):
-    ref = np.fft.fft(_direct_synthesis(np.array([lam]), np.array([1.0 + 0j]), T)) / T
-    # the oracle's phases n*lam carry up to ~T*eps rounding
-    assert np.max(np.abs(G._atom_spectrum(lam, T) - ref)) <= 1e-12 + 1e-15 * T
-
-
-def _detect_reference(seq, max_atoms=64):
-    """FFT peak scan with the 28-step golden-section refinement and the
-    closed-form subtraction of each atom found written out."""
-    T = seq.size
-    resid = np.array(seq, dtype=complex)
-    spec = np.fft.fft(resid) / T
-    total = float(np.sum(np.abs(spec) ** 2))
-    notch = np.zeros(T, dtype=bool)
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    objective = lambda x: -abs(torus._amplitudes_at(resid, np.array([x]))[0])  # noqa: E731
-    found_lam, found_w = [], []
-    for _ in range(max_atoms):
-        work = np.abs(spec) ** 2
-        work[notch] = 0.0
-        b = int(np.argmax(work))
-        if work[b] < 1e-4 * total or work[b] <= 0:
-            break
-        lo, hi = (b - 0.6) / T, (b + 0.6) / T
-        x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(28):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv * (hi - lo)
-                f1 = objective(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv * (hi - lo)
-                f2 = objective(x2)
-        lam = (0.5 * (lo + hi)) % 1.0
-        amp = complex(torus._amplitudes_at(resid, np.array([lam]))[0])
-        found_lam.append(lam)
-        found_w.append(abs(amp) ** 2)
-        # Dirichlet kernel: fft of e^{2 pi i n lam} over n < T, divided by T
-        d = lam - np.arange(T) / T
-        d -= np.round(d)
-        den = T * np.sin(np.pi * d)
-        ratio = np.divide(np.sin(np.pi * T * d), den, out=np.ones(T), where=den != 0)
-        spec -= amp * (ratio * np.exp(1j * np.pi * (T - 1) * d))
-        resid -= torus._synthesize(torus._block_phasors(np.array([lam]), T), np.array([amp]), T)
-        for off in range(-2, 3):
-            notch[(b + off) % T] = True
-    return np.array(found_lam), np.array(found_w)
-
-
-@pytest.mark.parametrize("cls", [G.GaussianModel, G.RandomPhaseModel])
-def test_atom_power_detection_matches_inline_search(cls):
-    for T in (10_000, 20_000, 50_000):
-        x = G.simulate(cls(spectrum=SPEC8, T_len=T, seed=3))
-        lam, w = G._detect_atom_powers(x)
-        ref_lam, ref_w = _detect_reference(x)
-        assert lam.size == 8  # the eight atoms, no leakage side lobes
-        assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
-        order = np.argsort(lam)
-        given = np.abs(torus._amplitudes_at(x, np.array(LAM8))) ** 2
-        assert np.max(np.abs(lam[order] - LAM8)) <= 1e-7
-        assert np.max(np.abs(w[order] - given)) <= 2e-4
-
-
 def test_conjugation_invariance():
     lam = [0.123, 0.456, 0.789]
     spec = AtomicCircleMeasure.from_pairs([(l, 1.0 / 3) for l in lam])
     x = G.simulate(G.GaussianModel(spectrum=spec, T_len=50_000, seed=4))
-    a = G.gaussianity_test(x, 3)
-    b = G.gaussianity_test(np.conj(x), 3)
+    a = G.gaussianity_test(x, 3, freqs=lam)
+    b = G.gaussianity_test(np.conj(x), 3, freqs=[(-l) % 1 for l in lam])
     assert max(abs(p - q) for p, q in zip(a.z_scores, b.z_scores)) < 1e-9
     assert a.gaussian_consistent == b.gaussian_consistent
 
 
 def test_gaussianity_guards(xg_200k):
     with pytest.raises(OutOfRange):
-        G.gaussianity_test(xg_200k[:1000], 0)
+        G.gaussianity_test(xg_200k[:1000], 0, freqs=LAM8)
     with pytest.raises(OutOfRange):
-        G.gaussianity_test(xg_200k[:1000], 7)
+        G.gaussianity_test(xg_200k[:1000], 7, freqs=LAM8)
+    with pytest.raises(OutOfRange):
+        G.gaussianity_test(xg_200k[:1000], 3, freqs=[])
 
 
 def test_reports_serialize():
