@@ -14,10 +14,11 @@ sensitivities dz/db for both row groups, an explicit duality gap, and this
 package's error taxonomy (Infeasible / Unbounded / SolverStall) instead of
 status codes.
 
-LP_MAX_ENTRIES bounds every LP by its dense size, (rows + 1) x variables,
-whatever form the matrices arrive in.  The projector assembles its
-matrices sparse, so no such dense array is built any more, but the
-envelope is kept exactly as it was: the documented limits are stated in it.
+LP_MAX_ENTRIES bounds every LP by the entries HiGHS receives: len(c) plus
+the stored entries of A_eq and A_ub.  A dense input with no zero entries,
+such as every mela LP, counts (rows + 1) x variables, its dense size.  The
+projector assembles its matrices sparse and states its own documented
+envelope in dense entries, which lies inside this bound.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.sparse import csr_array
 
 from .errors import Infeasible, OutOfRange, SolverStall, Unbounded
 
-LP_MAX_ENTRIES = 2 ** 25  # dense envelope: entries of c, A_eq and A_ub together
+LP_MAX_ENTRIES = 2 ** 25  # entries of c plus the stored entries of A_eq and A_ub
 GAP_TOL = 1e-8  # certified optimality: duality_gap <= GAP_TOL * (1 + |objective|)
 
 
@@ -67,11 +68,13 @@ def lp_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
 
     A_eq and A_ub may be dense or scipy sparse; either is converted by
     csr_array(A).  Solved by HiGHS interior point with crossover.  The guard
-    is sized by what the dense input would cost: (rows + 1) x variables <=
-    LP_MAX_ENTRIES (2^25, 256 MiB of float64), refused before HiGHS sees
-    it, and HiGHS stops after 100,000 iterations.  Optimality is certified
-    by the dual values: duality_gap <= GAP_TOL * (1 + |objective|)
-    (GAP_TOL = 1e-8) in practice; callers that certify results re-check it.
+    counts what HiGHS receives, len(c) + nnz(A_eq) + nnz(A_ub) <=
+    LP_MAX_ENTRIES (2^25), nnz being the stored entries of the csr_array
+    form, so a dense input with no zero entries counts (rows + 1) x
+    variables.  A larger LP is refused before HiGHS sees it, and HiGHS stops
+    after 100,000 iterations.  Optimality is certified by the dual values:
+    duality_gap <= GAP_TOL * (1 + |objective|) (GAP_TOL = 1e-8) in practice;
+    callers that certify results re-check it.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -84,10 +87,11 @@ def lp_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
     m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
     if b_eq.size != m_eq or b_ub.size != m_ub:
         raise OutOfRange("right-hand side length does not match its matrix")
-    if dense_entries(m_eq + m_ub, n) > LP_MAX_ENTRIES:
+    entries = n + A_eq.nnz + A_ub.nnz
+    if entries > LP_MAX_ENTRIES:
         raise OutOfRange(
-            f"LP size {m_eq + m_ub} x {n} exceeds the dense solver envelope "
-            f"of {LP_MAX_ENTRIES} entries"
+            f"LP of {m_eq + m_ub} x {n} with {entries} entries exceeds the "
+            f"solver envelope of {LP_MAX_ENTRIES} entries"
         )
 
     res = _scipy_linprog(

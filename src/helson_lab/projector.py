@@ -13,10 +13,12 @@ solution is within sec(pi/8) ~ 1.083 of the LP objective.  The modulus
 caps on F use the inscribed regular 8-gon (right-hand side eps cos(pi/8)),
 which guarantees |phi| <= eps at every constrained point.  The caps are
 posed on lifted variables P_t = Re phi(t) + eps, Q_t = Im phi(t) + eps
-(nonnegative wherever the caps hold), so the 8 |F| cap rows are 2-sparse
-and only the 2 |F| rows that define P and Q are dense; HiGHS solves the
-result by interior point with crossover.  Each indicator carries the LP's
-iteration count and duality gap.
+(nonnegative wherever the caps hold), so the 8 |F| cap rows are 2-sparse.
+The coefficients of n and -n are folded into their sums and differences,
+so the 2 (|K| + |F|) dense Re/Im rows carry 2N entries, N = 2 degree + 1,
+instead of 4N: 5N + 2|K| + 10|F| rows over 9N + 2|F| variables.  HiGHS
+solves the result by interior point with crossover.  Each indicator
+carries the LP's iteration count and duality gap.
 
 The telescoping series uses eps_k = e^{-kp} exactly; sup differences of
 consecutive indicators are bounded by 2 eps_k on the constraint set by
@@ -263,42 +265,70 @@ def _csr_rows(blocks: Sequence[Tuple[np.ndarray, np.ndarray]], n_cols: int) -> C
 def _indicator_lp(
     lamK: np.ndarray, ts: np.ndarray, epsilon: float, ns: np.ndarray
 ) -> Tuple[np.ndarray, ConstraintMatrix, np.ndarray, ConstraintMatrix, np.ndarray]:
-    """(c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's lifted LP, matrices sparse.
+    """(c, A_eq, b_eq, A_ub, b_ub) of approx_indicator's folded, lifted LP, matrices sparse.
 
-    Variables are the blocks (p, q, u, w, r), each indexed like ns, then
-    P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps for t in ts.  The
-    inscribed 8-gon lies in the eps-disk, so the shift keeps P, Q >= 0 on
-    every feasible point, and each modulus cap is a 2-entry row in (P, Q).
-    A_eq and A_ub are assembled from index arrays, never as dense
-    rows x variables arrays; only the 2 (|K| + |F|) Re/Im rows are dense.
+    Variables are the blocks (p, q, u, w, r), each indexed like ns = -D..D,
+    then the folded values f = (S^x, D^x, S^y, D^y) as nonnegative pairs
+    (f+_j, f-_j), then P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps for t
+    in ts.  With x = p - q, S^x_n = x_n + x_{-n} for n = 0..D (S^x_0 = x_0)
+    and D^x_n = x_n - x_{-n} for n = 1..D, and likewise for y = u - w; 2N
+    link rows of at most 6 entries tie f to the coefficients.  cos is even
+    in n and sin odd, so
+
+        Re phi(t) = sum_{n>=0} S^x_n cos 2 pi n t - sum_{n>0} D^y_n sin 2 pi n t
+        Im phi(t) = sum_{n>0} D^x_n sin 2 pi n t + sum_{n>=0} S^y_n cos 2 pi n t
+
+    and each of the 2 (|K| + |F|) dense Re/Im rows carries 2N entries, not
+    the 4N it would over (p, q, u, w).  The inscribed 8-gon lies in the
+    eps-disk, so the shift keeps P, Q >= 0 on every feasible point, and each
+    modulus cap is a 2-entry row in (P, Q).  A_eq and A_ub are assembled
+    from index arrays, never as dense rows x variables arrays.
     """
-    N, m = ns.size, ts.size
-    nv = 5 * N + 2 * m
+    N, m, k = ns.size, ts.size, lamK.size
+    D = N // 2
+    nv = 9 * N + 2 * m
     # tie-breaker: the optimal face of sum r_n is degenerate, and the
-    # split-part penalty selects the vertex with least sum |x| + |y|, which
-    # is also the least true A-norm one; it shifts the ceiling objective by
-    # at most ~3e-4 relative, well under reporting tolerances
+    # split-part penalty picks a vertex of it with small sum |x| + |y|; it
+    # shifts the ceiling objective by at most ~3e-4 relative, well under
+    # reporting tolerances.  Optimal vertices with equal c.x can differ in
+    # true A-norm, which is certified only within [lp_objective,
+    # sec(pi/8) lp_objective]
     c = np.zeros(nv)
     c[:4 * N] = 1e-4
     c[4 * N:5 * N] = 1.0
 
-    arg = 2.0 * np.pi * ns * np.concatenate([lamK, ts])[:, None]
-    cs, sn = np.cos(arg), np.sin(arg)
-    # rows 2i, 2i+1: Re phi, Im phi at the i-th point of K then of F, over (p, q, u, w)
-    re_im = np.hstack([cs, -cs, -sn, sn, sn, -sn, cs, -cs]).reshape(-1, 4 * N)
-    k = lamK.size
-    coef_cols = np.arange(4 * N)
+    # fold value j sits in columns fold_cols[j] = (f+_j, f-_j); S^x, D^x
+    # take j in sx, dx and S^y, D^y the same plus N.  Each has a frequency
+    # n_j, a mirror sign s_j (+1 for S, -1 for D) and the offset of its
+    # (p, q) or (u, w) blocks
+    sx, dx = np.arange(D + 1), D + 1 + np.arange(D)
+    fold_cols = 5 * N + 2 * np.arange(2 * N)[:, None] + np.arange(2)
+    n_f = np.tile(np.concatenate([sx, dx - D]), 2)
+    s_f = np.tile(np.repeat([1.0, -1.0], [D + 1, D]), 2)
+    off = np.repeat([0, 2 * N], N)
+    # link rows: x_n + s x_{-n} - f+ + f- = 0 over (p_{-n}, p_n, q_{-n}, q_n,
+    # f+, f-); at n = 0 the mirrored entries are zero and dropped
+    mirror, one = s_f * (n_f > 0), np.ones(2 * N)
+    link = np.column_stack([mirror, one, -mirror, -one, -one, one])
+    link_cols = np.column_stack([off + D - n_f, off + D + n_f, off + N + D - n_f, off + N + D + n_f, fold_cols])
+
+    arg = 2.0 * np.pi * sx * np.concatenate([lamK, ts])[:, None]
+    cs, sn = np.cos(arg), np.sin(arg[:, 1:])
+    # rows 2i, 2i+1: Re phi over (S^x, D^y) and Im phi over (D^x, S^y) at
+    # the i-th point of K then of F, each value on its (f+, f-) pair
+    re_im = (np.hstack([cs, -sn, sn, cs]).reshape(-1, N, 1) * [1.0, -1.0]).reshape(-1, 2 * N)
+    re_im_cols = fold_cols[np.concatenate([sx, N + dx, dx, N + sx])].reshape(2, 2 * N)
     # phi(lambda) = 1 on K; Re phi(t) - P_t = Im phi(t) - Q_t = -eps on F
     lifted = np.hstack([re_im[2 * k:], np.full((2 * m, 1), -1.0)])
-    lift_cols = np.hstack([np.broadcast_to(coef_cols, (2 * m, 4 * N)), 5 * N + np.arange(2 * m)[:, None]])
-    A_eq = _csr_rows([(re_im[:2 * k], coef_cols), (lifted, lift_cols)], nv)
-    b_eq = np.concatenate([np.tile([1.0, 0.0], k), np.full(2 * m, -epsilon)])
+    lift_cols = np.hstack([np.tile(re_im_cols, (m, 1)), 9 * N + np.arange(2 * m)[:, None]])
+    A_eq = _csr_rows([(re_im[:2 * k], np.tile(re_im_cols, (k, 1))), (lifted, lift_cols), (link, link_cols)], nv)
+    b_eq = np.concatenate([np.tile([1.0, 0.0], k), np.full(2 * m, -epsilon), np.zeros(2 * N)])
 
     # rows 3i..3i+2: the octagonal ceilings on coefficient i over its
     # (p, q, u, w, r) columns; then rows 8t..8t+7 of the caps, which rotate
     # (P_t, Q_t) by j pi / 4
     ceiling_cols = np.repeat(np.arange(N)[:, None] + N * np.arange(5), 3, axis=0)
-    cap_cols = np.repeat(5 * N + 2 * np.arange(m)[:, None] + np.arange(2), 8, axis=0)
+    cap_cols = np.repeat(9 * N + 2 * np.arange(m)[:, None] + np.arange(2), 8, axis=0)
     A_ub = _csr_rows([(np.tile(_OCTAGON, (N, 1)), ceiling_cols), (np.tile(_CAP_DIRS, (m, 1)), cap_cols)], nv)
     b_caps = epsilon * _COS8 + epsilon * _CAP_DIRS.sum(axis=1)
     b_ub = np.concatenate([np.zeros(3 * N), np.tile(b_caps, m)])
@@ -318,15 +348,18 @@ def approx_indicator(
     modulus caps |phi(t)| <= eps for t in F_samples.  The LP is lifted: two
     equalities per t tie P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps to
     the coefficients, and each of the 8 |F| caps is a 2-entry row in
-    (P_t, Q_t).  With N = 2 degree + 1 that is 3 N + 2 |K| + 10 |F| rows
-    over 5 N + 2 |F| variables, solved by lp_solve's interior point.
+    (P_t, Q_t).  It is folded: the Re/Im rows run over the sums and
+    differences of the coefficients of n and -n, tied to them by 2N link
+    rows.  With N = 2 degree + 1 that is 5 N + 2 |K| + 10 |F| rows over
+    9 N + 2 |F| variables, solved by lp_solve's interior point.
 
-    Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and the
-    LP's dense size, (rows + 1) x variables, within lp_solve's
-    LP_MAX_ENTRIES (2^25), though the matrices are built sparse.  That
-    admits degree 512 at |F| = 200 for every |K| allowed there, and
-    degree <= 366 at |F| = 499; larger requests are refused before any row
-    is built.
+    Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and
+    (R + 1) x V <= LP_MAX_ENTRIES (2^25) for R = 3 N + 2 |K| + 10 |F| and
+    V = 5 N + 2 |F|.  That count is an envelope, not the LP's size: it is
+    the dense size of the unfolded LP, and the LP built inside it passes
+    lp_solve's count of stored entries.  It admits degree 512 at |F| = 200
+    for every |K| allowed there, and degree <= 366 at |F| = 499; larger
+    requests are refused before any row is built.
     """
     if degree < 1 or degree > 512:
         raise OutOfRange(f"degree must be in 1..512, got {degree}")

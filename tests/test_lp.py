@@ -111,13 +111,30 @@ def test_degenerate_program_terminates():
 
 
 def test_guard_counts_dense_entries(monkeypatch):
-    # (rows + 1) x columns, c included: 9 rows over 10 columns fit 100 entries
+    # len(c) + nnz(A_eq) + nnz(A_ub): a dense input with no zero entries
+    # counts (rows + 1) x columns, so 9 rows over 10 columns fit 100 entries
+    # and 10 rows are refused, as when the guard counted dense size
     monkeypatch.setattr(linprog, "LP_MAX_ENTRIES", 100)
     c = np.ones(10)
-    res = lp_solve(c, A_eq=np.ones((4, 10)), b_eq=np.ones(4), A_ub=np.eye(5, 10), b_ub=np.ones(5))
+    res = lp_solve(c, A_eq=np.ones((4, 10)), b_eq=np.ones(4), A_ub=np.ones((5, 10)), b_ub=np.ones(5))
     assert dense_entries(9, 10) == 100 and res.objective == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(OutOfRange, match="10 x 10 exceeds the dense solver envelope"):
-        lp_solve(c, A_eq=np.ones((5, 10)), b_eq=np.ones(5), A_ub=np.eye(5, 10), b_ub=np.ones(5))
+    with pytest.raises(OutOfRange, match="10 x 10 with 110 entries exceeds the solver envelope of 100"):
+        lp_solve(c, A_eq=np.ones((5, 10)), b_eq=np.ones(5), A_ub=np.ones((5, 10)), b_ub=np.ones(5))
+
+
+@pytest.mark.parametrize("form", [np.asarray, csr_array])
+def test_guard_counts_stored_nonzeros(monkeypatch, form):
+    # 54 rows over 10 columns, dense size 550: counted by their 10 + 40 + 50
+    # nonzeros, dense or sparse, and refused at the 101st
+    monkeypatch.setattr(linprog, "LP_MAX_ENTRIES", 100)
+    c = np.ones(10)
+    A_eq, b_eq = np.ones((4, 10)), np.ones(4)
+    A_ub = np.tile(np.eye(10), (5, 1))
+    res = lp_solve(c, A_eq=form(A_eq), b_eq=b_eq, A_ub=form(A_ub), b_ub=np.ones(50))
+    assert dense_entries(54, 10) == 550 and res.objective == pytest.approx(1.0, abs=1e-9)
+    A_ub = np.vstack([A_ub, np.eye(1, 10)])
+    with pytest.raises(OutOfRange, match="55 x 10 with 101 entries"):
+        lp_solve(c, A_eq=form(A_eq), b_eq=b_eq, A_ub=form(A_ub), b_ub=np.ones(51))
 
 
 def test_interior_point_result_is_a_reproducible_vertex():

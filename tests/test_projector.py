@@ -226,34 +226,58 @@ def _refuse_build(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("degree,n_k,n_f", [
+_ADMITTED_CORNERS = [
     (16, 1, 499),   # 5091 lifted rows: past the old 4096-row limit
     (412, 8, 200),  # the old row limit's largest degree at |F| = 200
     (512, 2, 200),  # the degree-512 envelope corner
     (512, 300, 200),
     (512, 500, 0),
     (366, 1, 499),  # the largest degree admitted at |F| = 499
-])
+]
+
+
+def _clustered_kf(n_k: int, n_f: int):
+    K = FiniteFrequencySet(tuple(0.25 * i / n_k for i in range(n_k)))
+    return K, list(np.linspace(0.375, 0.875, n_f))
+
+
+@pytest.mark.parametrize("degree,n_k,n_f", _ADMITTED_CORNERS)
 def test_indicator_entry_guard_admits(monkeypatch, degree, n_k, n_f):
     built = _refuse_build(monkeypatch)
-    K = FiniteFrequencySet(tuple(0.25 * i / n_k for i in range(n_k)))
-    F = list(np.linspace(0.375, 0.875, n_f))
+    K, F = _clustered_kf(n_k, n_f)
     with pytest.raises(_Captured):
         approx_indicator(K, F, 0.1, degree=degree)
     assert built == [(2 * degree + 1, n_f)]
 
 
+@pytest.mark.parametrize("degree,n_k,n_f", _ADMITTED_CORNERS)
+def test_admitted_corner_lp_passes_solver_guard(monkeypatch, degree, n_k, n_f):
+    # the folded LP that approx_indicator builds at each admitted corner is
+    # handed on to HiGHS by lp_solve's entry count; HiGHS is not run
+    seen: list = []
+
+    def fake_highs(c, A_ub=None, b_ub=None, A_eq=None, **_):
+        seen.append(c.size + A_eq.nnz + A_ub.nnz)
+        raise _Captured
+
+    monkeypatch.setattr("helson_lab.linprog._scipy_linprog", fake_highs)
+    K, F = _clustered_kf(n_k, n_f)
+    with pytest.raises(_Captured):
+        approx_indicator(K, F, 0.1, degree=degree)
+    assert len(seen) == 1 and seen[0] <= LP_MAX_ENTRIES
+
+
 def test_indicator_row_envelope_matches_solver(monkeypatch):
-    # the lifted LP has 3 N + 2 |K| + 10 |F| rows over 5 N + 2 |F| columns,
-    # N = 2 degree + 1; both guards measure it by dense entries
+    # the folded LP has 5 N + 2 |K| + 10 |F| rows over 9 N + 2 |F| columns,
+    # N = 2 degree + 1; the envelope is the unfolded LP's dense size
     seen = _capture_lp(monkeypatch)
     K = FiniteFrequencySet((Fraction(0),))
     F = list(np.linspace(0.25, 0.75, 40))
     with pytest.raises(_Captured):
         approx_indicator(K, F, 0.1, degree=16)
     rows = seen["A_eq"].shape[0] + seen["A_ub"].shape[0]
-    assert rows == 3 * 33 + 2 * 1 + 10 * 40
-    assert seen["c"].size == seen["A_eq"].shape[1] == seen["A_ub"].shape[1] == 5 * 33 + 2 * 40
+    assert rows == 5 * 33 + 2 * 1 + 10 * 40
+    assert seen["c"].size == seen["A_eq"].shape[1] == seen["A_ub"].shape[1] == 9 * 33 + 2 * 40
     assert all(isinstance(seen[k], np.ndarray) for k in ("c", "b_eq", "b_ub"))
     assert all(isinstance(seen[k], csr_array) for k in ("A_eq", "A_ub"))
     # one degree past the largest admitted at |F| = 499: refused before any
@@ -307,6 +331,30 @@ def _loop_lp(lamK, ts, epsilon, degree):
     return c, np.array(rows_eq), np.array(rhs_eq), np.array(rows_ub), np.array(rhs_ub)
 
 
+def _unfold(c, A_eq, A_ub, N):
+    """Check the fold's columns and link rows; compose the Re/Im rows with the links.
+
+    The 2N folded values f_j = f+_j - f-_j sit in columns 5N + 2j, 5N + 2j + 1
+    and appear only in the Re/Im rows, as +- pairs, and in the last 2N rows
+    of A_eq, the links f_j = L_j . (p, q, u, w).  So every point of the
+    unfolded LP extends to the folded one, and a Re/Im row R acts on
+    (p, q, u, w) as R[f+] L.  Returns those composed rows and the Re/Im
+    rows' columns past the fold (the lift).
+    """
+    fp = 5 * N + 2 * np.arange(2 * N)
+    links, re_im = A_eq[-2 * N:], A_eq[:-2 * N]
+    assert np.array_equal(links[:, fp], -np.eye(2 * N)) and np.array_equal(links[:, fp + 1], np.eye(2 * N))
+    assert not links[:, 4 * N:5 * N].any() and not links[:, 9 * N:].any()
+    assert np.count_nonzero(links, axis=1).max() <= 6
+    # the Re/Im rows: folded values only, as +- pairs, at most 2N of them
+    assert not re_im[:, :5 * N].any()
+    assert np.array_equal(re_im[:, fp + 1], -re_im[:, fp])
+    assert np.count_nonzero(re_im[:, 5 * N:9 * N], axis=1).max() <= 2 * N
+    # the fold is free of cost and of inequality rows
+    assert not c[5 * N:9 * N].any() and not A_ub[:, 5 * N:9 * N].any()
+    return re_im[:, fp] @ links[:, :4 * N], re_im[:, 9 * N:]
+
+
 @pytest.mark.parametrize("degree,n_k,n_f", [(24, 8, 24), (64, 4, 100), (128, 2, 200), (1, 1, 0), (9, 3, 0)])
 def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
     seen = _capture_lp(monkeypatch)
@@ -317,27 +365,29 @@ def test_indicator_lp_matches_row_oracle(monkeypatch, degree, n_k, n_f):
     A_eq, A_ub = seen["A_eq"].toarray(), seen["A_ub"].toarray()
     rc, rA_eq, rb_eq, rA_ub, rb_ub = _loop_lp(K.values(), np.array(F), 0.05, degree)
     N, k, m = 2 * degree + 1, n_k, n_f
-    nv = 5 * N + 2 * m
-    assert c.shape == (nv,) and A_eq.shape == (2 * k + 2 * m, nv) and A_ub.shape == (3 * N + 8 * m, nv)
-    # objective, K equalities and octagonal ceilings: the oracle's blocks, byte for byte
-    assert np.array_equal(c[:5 * N], rc) and not c[5 * N:].any()
-    assert np.array_equal(A_eq[:2 * k, :5 * N], rA_eq) and not A_eq[:2 * k, 5 * N:].any()
-    assert np.array_equal(b_eq[:2 * k], rb_eq)
+    nv = 9 * N + 2 * m
+    assert c.shape == (nv,) and A_eq.shape == (2 * k + 2 * m + 2 * N, nv) and A_ub.shape == (3 * N + 8 * m, nv)
+    re_im, lift = _unfold(c, A_eq, A_ub, N)
+    # objective and octagonal ceilings: the oracle's blocks, byte for byte
+    assert np.array_equal(c[:5 * N], rc) and not c[9 * N:].any()
     assert np.array_equal(A_ub[:3 * N, :5 * N], rA_ub[:3 * N]) and not A_ub[:3 * N, 5 * N:].any()
     assert np.array_equal(b_ub[:3 * N], rb_ub[:3 * N])
+    # K equalities: the folded rows composed with the links are the oracle's
+    assert np.allclose(re_im[:2 * k], rA_eq[:, :4 * N], rtol=0, atol=1e-15) and not rA_eq[:, 4 * N:].any()
+    assert not lift[:2 * k].any() and np.array_equal(b_eq[:2 * k], rb_eq) and not b_eq[-2 * N:].any()
     # Re phi(t) - P_t = Im phi(t) - Q_t = -eps on F
-    re_im, lift = A_eq[2 * k:, :5 * N], A_eq[2 * k:, 5 * N:]
-    assert np.array_equal(lift, -np.eye(2 * m)) and np.all(b_eq[2 * k:] == -0.05)
+    assert np.array_equal(lift[2 * k:], -np.eye(2 * m)) and np.all(b_eq[2 * k:2 * k + 2 * m] == -0.05)
     # each cap is 2-sparse in (P_t, Q_t); composed with the Re/Im rows it is
     # the oracle's dense cap row, its right-hand side shifted by the lift
     caps, b_caps = A_ub[3 * N:], b_ub[3 * N:]
-    assert not caps[:, :5 * N].any()
+    assert not caps[:, :9 * N].any()
     for t in range(m):
         rows = caps[8 * t:8 * t + 8]
-        assert not np.delete(rows, [5 * N + 2 * t, 5 * N + 2 * t + 1], axis=1).any()
-        a, b = rows[:, 5 * N + 2 * t, None], rows[:, 5 * N + 2 * t + 1, None]
-        composed = a * re_im[2 * t] + b * re_im[2 * t + 1]
-        assert np.array_equal(composed, rA_ub[3 * N + 8 * t:3 * N + 8 * t + 8])
+        assert not np.delete(rows, [9 * N + 2 * t, 9 * N + 2 * t + 1], axis=1).any()
+        a, b = rows[:, 9 * N + 2 * t, None], rows[:, 9 * N + 2 * t + 1, None]
+        composed = a * re_im[2 * k + 2 * t] + b * re_im[2 * k + 2 * t + 1]
+        assert np.allclose(composed, rA_ub[3 * N + 8 * t:3 * N + 8 * t + 8, :4 * N], rtol=0, atol=1e-15)
+        assert not rA_ub[3 * N + 8 * t:3 * N + 8 * t + 8, 4 * N:].any()
         shifted = b_caps[8 * t:8 * t + 8] - 0.05 * (a + b).ravel()
         assert np.allclose(shifted, rb_ub[3 * N + 8 * t:3 * N + 8 * t + 8], rtol=0, atol=1e-16)
 
@@ -373,27 +423,38 @@ def _lifted_loop_matrices(lamK, ts, degree):
 
 @pytest.mark.parametrize("degree,n_k,n_f", [(24, 8, 24), (64, 4, 100), (1, 1, 0), (9, 3, 0), (16, 1, 40)])
 def test_indicator_lp_sparse_structure_matches_dense_oracle(degree, n_k, n_f):
-    # the sparse build is csr_array of the dense lifted LP, entry for entry:
-    # canonical indices, no explicit zeros (the n = 0 sines, and the 0 in
-    # the first cap direction, are dropped; the 6e-17 cos(pi/2) caps stay)
+    # the sparse build is csr_array of its dense form, entry for entry:
+    # canonical indices, no explicit zeros (the sines on K at lambda = 0,
+    # the zero mirror entries of the n = 0 links and the 0 in the first cap
+    # direction are dropped; the 6e-17 cos(pi/2) caps stay); unfolded, its
+    # rows are the dense lifted LP's
     K, F = _grid_kf(n_k, n_f)
     if n_k == 1:
         K = FiniteFrequencySet((Fraction(0),))  # lambda = 0: every sine on K is an exact zero
     lamK, ts = K.values(), np.array(F)
-    _, A_eq, _, A_ub, _ = projector._indicator_lp(lamK, ts, 0.05, np.arange(-degree, degree + 1))
-    for built, dense in zip((A_eq, A_ub), _lifted_loop_matrices(lamK, ts, degree)):
+    c, A_eq, _, A_ub, _ = projector._indicator_lp(lamK, ts, 0.05, np.arange(-degree, degree + 1))
+    for built in (A_eq, A_ub):
+        # numpy readers of the matrices (np.asarray) get the dense array
+        dense = np.asarray(built)
+        assert isinstance(dense, np.ndarray) and np.array_equal(dense, built.toarray())
         ref = csr_array(dense)
         assert isinstance(built, csr_array) and built.shape == ref.shape
         assert built.has_canonical_format and np.all(built.data != 0.0)
         for field in ("indptr", "indices", "data"):
             got, want = getattr(built, field), getattr(ref, field)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # numpy readers of the matrices (np.asarray) still get the dense array
-        assert np.array_equal(np.asarray(built), dense)
+    N = 2 * degree + 1
+    A_eq, A_ub = A_eq.toarray(), A_ub.toarray()
+    oracle_eq, oracle_ub = _lifted_loop_matrices(lamK, ts, degree)
+    re_im, lift = _unfold(c, A_eq, A_ub, N)
+    assert np.allclose(re_im, oracle_eq[:, :4 * N], rtol=0, atol=1e-15) and not oracle_eq[:, 4 * N:5 * N].any()
+    assert np.array_equal(lift, oracle_eq[:, 5 * N:])
+    assert np.array_equal(A_ub[:, :5 * N], oracle_ub[:, :5 * N]) and np.array_equal(A_ub[:, 9 * N:], oracle_ub[:, 5 * N:])
 
 
 @pytest.mark.parametrize("degree,n_k,n_f,eps", [
     (24, 8, 24, 0.05), (32, 2, 30, 0.1), (40, 3, 40, 0.05), (12, 1, 8, 0.01), (1, 1, 0, 0.05), (9, 3, 0, 0.05),
+    (64, 4, 100, math.exp(-2.0)),  # lp-certify's shape
 ])
 def test_lifted_ipm_optimum_matches_oracle_simplex(degree, n_k, n_f, eps):
     K, F = _grid_kf(n_k, n_f)
