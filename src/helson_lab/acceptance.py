@@ -62,7 +62,9 @@ _MOMENT_SEED = 7
 # 5: 0.16, 8: 0.09, 4: 0.06, 1: 0.05, 3: 0.01), except that 8 and 2 follow 7 at
 # once.  Those three each allocate tens of MB; queued back to back they run on
 # one thread while 9 holds the other, so they reuse one malloc arena.  Spread
-# over two threads they took verify-all's peak RSS from ~134 to ~158 MB.
+# over two threads (plain longest first) they took verify-all's peak RSS from
+# ~136 to ~138 MB with OpenBLAS on one thread, and from ~134 to ~158 MB when
+# OpenBLAS ran a thread per CPU.
 _SUBMIT_ORDER = ("9", "7", "8", "2", "6", "5", "4", "1", "3")
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from . import gauss as G
 from .acceptance import results_json, run_acceptance
 from .drury import mix_drury
@@ -44,14 +44,19 @@ from .torus import (
 )
 
 _SWEEP_DEFAULT = "0.5,0.3679,0.1353,0.05,0.01832,0.01,0.00248,0.001"
+# gauss-sim's report sections, longest first (traced at 64 atoms, T = 2e5)
+_GAUSS_SUBMIT_ORDER = ("spectral", "increments", "gaussianity", "moments")
 
 
 def worker_count() -> int:
-    """Size of the `mela --sweep`, projector stage and verify-all criteria pools.
+    """Size of the `mela --sweep`, projector stage, gauss-sim section and
+    verify-all criteria pools.
 
-    HELSON_LAB_THREADS, at most the CPUs (default: the CPU count).  Nothing
-    else reads it; numpy's BLAS and HiGHS pick their own threads.  The
-    manifest's "threads" records this value.
+    HELSON_LAB_THREADS, at most the CPUs (default: the CPU count).  These
+    pools are the lab's one level of threads: OpenBLAS defaults to one
+    thread (OPENBLAS_NUM_THREADS, set in the package's __init__ unless the
+    user set it), and HiGHS picks its own.  The manifest's "threads"
+    records this value and "blas_threads" the OpenBLAS one.
     """
     cap = os.environ.get("HELSON_LAB_THREADS")
     n_cpu = os.cpu_count() or 1
@@ -137,6 +142,7 @@ def _manifest(args: argparse.Namespace, command: str, wall: float, outputs: List
         "wall_time_s": round(wall, 3),
         "outputs": sorted(outputs),
         "threads": worker_count(),
+        "blas_threads": BLAS_THREADS,
     }
 
 
@@ -287,20 +293,31 @@ def _cmd_gauss_sim(args) -> int:
     model = cls(spectrum=spectrum, T_len=args.len, seed=args.seed)
     seq = G.simulate(model)
     freqs = [float(l) for l in np.sort(spectrum.frequencies())]
-    report: Dict[str, object] = {"model": args.model, "T_len": args.len, "seed": args.seed}
-    if "moments" in wanted:
-        report["moments"] = G.moment_report(seq, args.pmax).to_json_dict()
-    if "spectral" in wanted:
-        g_max = min(50, args.len // 10)
-        report["spectral"] = [p.to_json_dict() for p in G.estimate_spectral(seq, g_max)]
-    if "gaussianity" in wanted:
-        report["gaussianity"] = G.gaussianity_test(seq, 3, freqs=freqs).to_json_dict()
-    if "increments" in wanted and len(freqs) >= 2:
+
+    def increments() -> dict:
         # split the atoms at the median frequency into two disjoint windows
         mid = freqs[len(freqs) // 2]
-        increments = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
-        dep = G.increment_dependence_test(increments, 0, 1, seed=args.seed)
-        report["increments"] = dep.to_json_dict()
+        windows = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
+        return G.increment_dependence_test(windows, 0, 1, seed=args.seed).to_json_dict()
+
+    # the sections only read seq, model and freqs, so they run on one pool
+    sections = {
+        "moments": lambda: G.moment_report(seq, args.pmax).to_json_dict(),
+        "spectral": lambda: [
+            p.to_json_dict() for p in G.estimate_spectral(seq, min(50, args.len // 10))
+        ],
+        "gaussianity": lambda: G.gaussianity_test(seq, 3, freqs=freqs).to_json_dict(),
+        "increments": increments,
+    }
+    todo = [k for k in sections if k in wanted and (k != "increments" or len(freqs) >= 2)]
+    report: Dict[str, object] = {"model": args.model, "T_len": args.len, "seed": args.seed}
+    pool = ThreadPoolExecutor(max_workers=worker_count())
+    try:
+        futures = {k: pool.submit(sections[k]) for k in _GAUSS_SUBMIT_ORDER if k in todo}
+        for key in todo:  # in report order, so the first failing section raises
+            report[key] = futures[key].result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed section drops those not yet started
     jpath = os.path.join(args.out, "gauss_sim.json")
     _write_json(jpath, report)
     outputs = [jpath]

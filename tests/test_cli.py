@@ -10,12 +10,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import helson_lab
 from helson_lab import cli
 from helson_lab.cli import main, worker_count
+from helson_lab.errors import MomentCheckFailed, OutOfRange
 from helson_lab.mela import solve_mela
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -232,6 +236,101 @@ def test_gauss_sim_random_phase_model(tmp_path, spectrum_file):
     assert "moments" not in report
 
 
+def _gauss_sim_all(spectrum, out):
+    return main([
+        "gauss-sim", "--spectrum", spectrum, "--len", "20000", "--seed", "5",
+        "--report", "moments,spectral,gaussianity,increments", "--out", str(out),
+    ])
+
+
+def test_gauss_sim_pool_matches_one_worker(tmp_path, spectrum_file, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HELSON_LAB_THREADS", "1")
+    assert _gauss_sim_all(spectrum_file, tmp_path / "one") == 0
+    # on two workers, spectral (submitted first) finishes last
+    moments_done, finished = threading.Event(), []
+    real_spectral, real_moments = cli.G.estimate_spectral, cli.G.moment_report
+
+    def late_spectral(seq, g_max):
+        assert moments_done.wait(timeout=30)
+        finished.append("spectral")
+        return real_spectral(seq, g_max)
+
+    def moments(seq, P):
+        try:
+            return real_moments(seq, P)
+        finally:
+            finished.append("moments")
+            moments_done.set()
+
+    monkeypatch.setattr(cli.G, "estimate_spectral", late_spectral)
+    monkeypatch.setattr(cli.G, "moment_report", moments)
+    monkeypatch.setenv("HELSON_LAB_THREADS", "2")
+    assert _gauss_sim_all(spectrum_file, tmp_path / "two") == 0
+    assert finished == ["moments", "spectral"]
+    one, two = (tmp_path / d / "gauss_sim.json" for d in ("one", "two"))
+    assert one.read_bytes() == two.read_bytes()
+
+
+def _run_bounded(fn):
+    """fn() on a thread joined within 60 s; returns its result or exception."""
+    box = []
+
+    def run():
+        try:
+            box.append(fn())
+        except Exception as exc:  # handed to the assertions
+            box.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "gauss-sim hung after a section raised"
+    return box[0]
+
+
+def test_gauss_sim_section_failure_propagates(tmp_path, spectrum_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HELSON_LAB_THREADS", "2")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("gaussianity broke")
+
+    monkeypatch.setattr(cli.G, "gaussianity_test", broken)
+    caught = _run_bounded(lambda: _gauss_sim_all(spectrum_file, tmp_path / "a"))
+    assert isinstance(caught, RuntimeError) and str(caught) == "gaussianity broke"
+
+    def invalid(*args, **kwargs):
+        raise MomentCheckFailed("gaussianity invalid")
+
+    monkeypatch.setattr(cli.G, "gaussianity_test", invalid)
+    assert _run_bounded(lambda: _gauss_sim_all(spectrum_file, tmp_path / "b")) == 1
+    assert "gaussianity invalid" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "gauss_sim.json").exists()
+
+
+def test_gauss_sim_first_failing_section_in_report_order_wins(tmp_path, spectrum_file,
+                                                              monkeypatch, capsys):
+    # moments comes first in the report but is submitted last; it fails after
+    # spectral has, and its failure (exit 1) is the one reported, not exit 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HELSON_LAB_THREADS", "2")
+    spectral_failed = threading.Event()
+
+    def spectral(seq, g_max):
+        spectral_failed.set()
+        raise OutOfRange("spectral refused")
+
+    def moments(seq, P):
+        assert spectral_failed.wait(timeout=30)
+        raise MomentCheckFailed("moments invalid")
+
+    monkeypatch.setattr(cli.G, "estimate_spectral", spectral)
+    monkeypatch.setattr(cli.G, "moment_report", moments)
+    assert _run_bounded(lambda: _gauss_sim_all(spectrum_file, tmp_path / "run")) == 1
+    assert "moments invalid" in capsys.readouterr().err
+
+
 def test_verify_all_stubbed(tmp_path, monkeypatch):
     def fake_acceptance(seed, workers):
         payload = {
@@ -386,6 +485,27 @@ def test_manifest_records_threads(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["mela", "--epsilon", "0.5", "--out", str(out)]) == 0
     assert read_json(out / "manifest.json")["threads"] == 1
+
+
+@pytest.mark.parametrize("user_value, used", [(None, "1"), ("3", "3")])
+def test_blas_threads_default_and_manifest(tmp_path, user_value, used):
+    # OpenBLAS reads the variable when numpy loads, so check in a fresh process
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(helson_lab.__file__))
+    out = tmp_path / "run"
+    code = (
+        "import os, sys\n"
+        "from helson_lab.cli import main\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        f"sys.exit(main(['mela', '--epsilon', '0.5', '--out', {str(out)!r}]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == used
+    assert read_json(out / "manifest.json")["blas_threads"] == used
 
 
 def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
