@@ -58,13 +58,13 @@ _DEGREE = 24
 _LAM8 = sorted((k * GOLDEN) % 1.0 for k in range(1, 9))
 _GAUSS_MODEL_SEED = 13  # pinned: both z-margin and 4-se coverage hold
 _MOMENT_SEED = 7
-# Longest first by traced seconds at seed 7 (9: 0.86, 7: 0.41, 6: 0.26, 2: 0.23,
-# 5: 0.16, 8: 0.09, 4: 0.06, 1: 0.05, 3: 0.01), except that 8 and 2 follow 7 at
-# once.  Those three each allocate tens of MB; queued back to back they run on
-# one thread while 9 holds the other, so they reuse one malloc arena.  Spread
-# over two threads (plain longest first) they took verify-all's peak RSS from
-# ~136 to ~138 MB with OpenBLAS on one thread, and from ~134 to ~158 MB when
-# OpenBLAS ran a thread per CPU.
+# Longest first by seconds on one worker at seed 7 (9: 0.63, 7: 0.29, 6: 0.22,
+# 2: 0.16, 5: 0.12, 8: 0.10, 4: 0.06, 1: 0.05, 3: 0.01), except that 8 and 2
+# follow 7 at once.  Those three each allocate tens of MB; queued back to back
+# they run on one thread while 9 holds the other, so they reuse one malloc
+# arena.  Spread over two threads (plain longest first) they took verify-all's
+# peak RSS from ~136 to ~138 MB with OpenBLAS on one thread, and from ~134 to
+# ~158 MB when OpenBLAS ran a thread per CPU.
 _SUBMIT_ORDER = ("9", "7", "8", "2", "6", "5", "4", "1", "3")
 
 
@@ -93,9 +93,9 @@ def check_mela_bound() -> dict:
 def check_drury_pipeline(seed: int) -> dict:
     rows = []
     ok = True
+    mela = {eps: solve_mela(eps) for eps in (0.1, 0.01)}
     for n in (3, 6, 10):
-        for eps in (0.1, 0.01):
-            sigma, cert = solve_mela(eps)
+        for eps, (sigma, cert) in mela.items():
             d = mix_drury(n, sigma, eps)
             basis_err = max(
                 abs(d.psi.coeffs.get(e, 0j) - 1.0) for e in d.basis_points()

@@ -30,11 +30,18 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import OutOfRange
 from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _synthesize
 
 _BATCHES = 32  # batch-means blocks for time standard errors
+# samples per chunk of _lag_sums' pass: cache-sized, and a dot this long
+# stays on one OpenBLAS thread (it splits dots above 10^4 terms), so the
+# rounding does not depend on the thread count
+_LAG_CHUNK = 1 << 13
+_LAG_GROUP = 64  # lags per _hankel_dots call, whose products are (group, 2 group - 1)
+_GEMM_DEPTH = 64  # longest reduction of one _hankel_dots product
 _SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
 _GAUSS_BOOT = 400  # atom-power resamples behind gaussianity_test's realization se
 _INCREMENT_BOOT = 1000  # circular-shift surrogates behind increment_dependence_test
@@ -151,29 +158,85 @@ def _batch_se(values: np.ndarray) -> float:
     return _block_se(values[:edge].reshape(B, -1).mean(axis=1))
 
 
-def _batch_dots(x: np.ndarray, y: np.ndarray) -> Tuple[complex, np.ndarray]:
-    """sum_n x_n y_n and the means of x_n y_n over the blocks of _batch_se.
+def _hankel_dots(xw: np.ndarray, yc: np.ndarray, d: int) -> np.ndarray:
+    """sum_{i < n} xw_{i+g} conj(yc_i) for g < d, n = yc.size; xw holds n + d - 1 values.
 
-    The tail past the last whole block enters only the sum.  The sums are
-    einsum loops, not BLAS dots: BLAS splits long reductions across threads,
-    which would make the rounding depend on the thread count.
+    For d > 1 the first Q = n // d rows of d terms are BLAS products: with
+    X[q, c] = xw_{qd+c} and Y[q, r] = conj(yc_{qd+r}), (Y^T X)[r, r+g] sums
+    lag g over the terms qd + r, so lag g is the g-th diagonal's sum.  Each
+    product reduces over at most _GEMM_DEPTH rows: OpenBLAS splits longer
+    gemm reductions into panels whose edges depend on the thread count, and
+    so would the rounding.  The last n - Qd terms are an einsum over a
+    Hankel view of xw; one lag is one BLAS dot.
     """
-    n = x.size
-    B = min(_BATCHES, n)
-    L = n // B
+    n = yc.size
+    if d == 1:
+        return np.array([np.vdot(yc, xw[:n])])
+    Q = n // d
+    s = xw.strides[0]
+    rest = as_strided(xw[Q * d:], shape=(d, n - Q * d), strides=(s, s))
+    out = np.einsum("gi,i->g", rest, np.conj(yc[Q * d:]))
+    if Q:
+        X = np.ascontiguousarray(as_strided(xw, shape=(Q, 2 * d - 1), strides=(d * s, s)))
+        Y = np.conj(yc[:Q * d]).reshape(Q, d)
+        M = sum(Y[q:q + _GEMM_DEPTH].T @ X[q:q + _GEMM_DEPTH] for q in range(0, Q, _GEMM_DEPTH))
+        out += as_strided(M, shape=(d, d), strides=(2 * d * M.itemsize, M.itemsize)).sum(axis=0)
+    return out
+
+
+def _lag_sums(
+    x: np.ndarray, y: np.ndarray, g_max: int, probes: np.ndarray
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """Sums of x_{n+g} conj(y_n) over n < T - g: whole and block means for g <= g_max, whole at probes.
+
+    Returns the totals of the lags 0..g_max, the means of each one's terms
+    over the blocks of _batch_se (B = min(_BATCHES, T - g) blocks of
+    (T - g) // B terms; the tail past the last whole block enters only the
+    total), and the totals at the probe lags.  One pass over chunks of
+    _LAG_CHUNK samples serves every lag, so a chunk's data is read from
+    cache: the lags 0..g_max go _LAG_GROUP at a time through _hankel_dots,
+    cut at every block edge of the group, and each probe lag is one BLAS
+    dot per chunk.  Near the end the lags read a zero-padded copy of the
+    chunk's window, and x_{n+g} past T adds exact zeros.  No full-length
+    array is made for complex contiguous x.
+    """
+    x = np.ascontiguousarray(x, dtype=complex)
+    T = x.size
+    g = np.arange(g_max + 1)
+    B = np.minimum(_BATCHES, T - g)
+    L = (T - g) // B
     edge = B * L
-    sums = np.einsum("bi,bi->b", x[:edge].reshape(B, L), y[:edge].reshape(B, L))
-    return sums.sum() + np.einsum("i,i->", x[edge:], y[edge:]), sums / L
+    groups = [g[lo:lo + _LAG_GROUP] for lo in range(0, g_max + 1, _LAG_GROUP)]
+    cuts = [np.unique(L[grp, None] * np.arange(1, _BATCHES + 1)) for grp in groups]  # the groups' block edges
+    sums = np.zeros((g_max + 1, _BATCHES + 1), dtype=complex)  # blocks, then the tail
+    probe_sums = np.zeros(probes.size, dtype=complex)
+    for c0 in range(0, T, _LAG_CHUNK):
+        c1 = min(c0 + _LAG_CHUNK, T)
+        yc = y[c0:c1]
+        window = x[c0:c1 + g_max]
+        if window.size < c1 - c0 + g_max:
+            window = np.concatenate([window, np.zeros(c1 - c0 + g_max - window.size, dtype=complex)])
+        for grp, edges in zip(groups, cuts):
+            inner = edges[np.searchsorted(edges, c0, side="right"):np.searchsorted(edges, c1)]
+            for s0, s1 in zip([c0, *inner], [*inner, c1]):
+                part = _hankel_dots(window[s0 - c0 + grp[0]:], yc[s0 - c0:s1 - c0], grp.size)
+                sums[grp, np.where(s0 < edge[grp], s0 // L[grp], _BATCHES)] += part
+        for p, gp in enumerate(probes):
+            stop = min(c1, T - gp)
+            if stop > c0:
+                probe_sums[p] += np.vdot(yc[:stop - c0], x[c0 + gp:stop + gp])
+    return sums.sum(axis=1), [sums[i, :B[i]] / L[i] for i in g], probe_sums
 
 
 def estimate_spectral(seq: np.ndarray, g_max: int) -> List[SpectralPoint]:
     """Time-average covariance estimates (1/(T-g)) sum X_{n+g} conj(X_n).
 
-    Each lag is one fused pass of _batch_dots, which gives the estimate and
-    the block means of its batched time-averaging error.  The reported
-    standard error adds to that error a realization floor sqrt(P/2) where P
-    is the mean squared modulus of the estimator at probe lags far beyond
-    g_max.  For atomic spectra the estimator converges to
+    One chunked pass of _lag_sums over the sequence gives every lag's block
+    sums, hence the estimate and the block means of its batched
+    time-averaging error, and the totals at 24 probe lags far beyond g_max.
+    The reported standard error adds to the batch error a realization floor
+    sqrt(P/2) where P is the mean squared modulus of the estimator at the
+    probe lags.  For atomic spectra the estimator converges to
     sum_j w_j |xi_j|^2 e^{2 pi i g lambda_j}, so the probe level measures the
     realization scatter sum_j (w_j |xi_j|^2)^2 that a single time series can
     never average away.
@@ -182,18 +245,18 @@ def estimate_spectral(seq: np.ndarray, g_max: int) -> List[SpectralPoint]:
     T = seq.size
     if g_max < 0 or g_max > T // 10:
         raise OutOfRange(f"g_max must be in 0..T/10, got {g_max}")
-    seq_conj = np.conj(seq)
     rng = np.random.default_rng(101)
     lo = g_max + 1
     hi = max(lo + 1, T // 10)
     probes = np.unique(rng.integers(lo, hi, size=24))
     probes = probes[probes < T]  # T = 1 leaves no probe lag inside the sequence
-    probe_sq = [abs(_batch_dots(seq[gp:], seq_conj[: T - gp])[0] / (T - gp)) ** 2 for gp in probes]
-    floor_sq = 0.5 * float(np.mean(probe_sq)) if probe_sq else 0.0
+    totals, means, probe_totals = _lag_sums(seq, seq, g_max, probes)
+    # lag 0 sums |X_n|^2: real, whatever rounding a BLAS kernel leaves in its imaginary part
+    totals[0], means[0] = totals[0].real, means[0].real
+    floor_sq = 0.5 * float(np.mean(np.abs(probe_totals / (T - probes)) ** 2)) if probes.size else 0.0
 
     out: List[SpectralPoint] = []
-    for g in range(g_max + 1):
-        total, bm = _batch_dots(seq[g:], seq_conj[: T - g])
+    for g, (total, bm) in enumerate(zip(totals, means)):
         se = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2 + floor_sq)
         out.append(SpectralPoint(g=g, value=complex(total / (T - g)), std_err=se))
     return out
@@ -291,7 +354,7 @@ def increment_dependence_test(
         rng = np.random.default_rng(seed)
         shifts = rng.integers(1, T, size=_INCREMENT_BOOT)
         q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
-    ortho_sum, bm = _batch_dots(da, np.conj(db))
+    (ortho_sum,), (bm,), _ = _lag_sums(da, db, 0, np.zeros(0, dtype=int))
     ortho = ortho_sum / T
     se_o = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2)
     z_o = float(abs(ortho) / se_o) if se_o > 0 else 0.0

@@ -26,7 +26,12 @@ construction and re-checked numerically.
 
 helson_constant is a heuristic upper estimate: multi-start projected
 subgradient descent on the ell^1 sphere followed by coordinate polish; it
-reports the best witness found, never a certified constant.
+reports the best witness found, never a certified constant.  The restarts
+descend in lockstep, one stacked scan of mu_hat per step.  Each polish
+line search moves the weights along one direction, so mu_hat is affine in
+its parameter: one scan of the weights and one of the direction turn every
+candidate into a real 3-row product, and no (2 g_range + 1) x |K| table is
+built.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 from .errors import Infeasible, InfeasibleSeparation, OutOfRange
 from .linprog import LP_MAX_ENTRIES, ConstraintMatrix, dense_entries, lp_solve
 from .torus import (
+    _CHUNK_ELEMS,
     AtomicCircleMeasure,
     FiniteFrequencySet,
     SparseTrigPoly,
@@ -50,7 +56,10 @@ from .torus import (
     grid_values,
 )
 
+Scan = Callable[[np.ndarray], np.ndarray]  # weights (|K|,) or (R, |K|) -> mu_hat over |g| <= g_range
+
 _COS8 = math.cos(math.pi / 8.0)
+_GRID_ELEMS = 1 << 17  # candidates x columns per product of _affine_sup: 1 MB, cache-sized
 _POINT_TOL = 1e-6  # constraint residual tolerance at solution points
 # octagonal ceilings over the variable blocks (p, q, u, w, r) of one coefficient
 _OCTAGON = np.array([
@@ -92,50 +101,156 @@ class HelsonEstimate:
 
 
 def _normalize_l1(w: np.ndarray) -> np.ndarray:
-    s = np.sum(np.abs(w))
-    if s < 1e-12:
-        w = np.ones_like(w)
-        s = np.sum(np.abs(w))
+    """w / ||w||_1 along the last axis; a row of l1 norm below 1e-12 becomes uniform."""
+    s = np.sum(np.abs(w), axis=-1, keepdims=True)
+    flat = s < 1e-12
+    if flat.any():
+        w, s = np.where(flat, 1.0 + 0j, w), np.where(flat, float(w.shape[-1]), s)
     return w / s
 
 
-def _polish(sup: Callable[[np.ndarray], float], w: np.ndarray) -> np.ndarray:
-    """Coordinate descent, 4 sweeps: per-atom phase search, then pairwise mass transfer."""
+def _descend(mu_hat: Scan, lam: np.ndarray, g_range: int, W: np.ndarray) -> np.ndarray:
+    """500 projected subgradient steps (step 0.25/sqrt(iter)) on every row of W, in lockstep.
+
+    Each step scans the live rows as one stacked product; a row whose sup
+    falls below 1e-15 stops there, as a lone descent would.
+    """
+    live = np.arange(len(W))
+    for it in range(1, 501):
+        vals = mu_hat(W[live])
+        i = np.argmax(np.abs(vals), axis=1)
+        z = vals[np.arange(live.size), i]
+        moving = np.abs(z) >= 1e-15
+        live, i, z = live[moving], i[moving], z[moving]
+        if live.size == 0:
+            break
+        grad = (z / np.abs(z))[:, None] * np.exp(-2j * np.pi * (i - g_range)[:, None] * lam)
+        W[live] = _normalize_l1(W[live] - (0.25 / math.sqrt(it)) * grad)
+    return W
+
+
+def _affine_sup(rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """max_g sqrt(coefs[p] . rows[:, g]) for each candidate p, over column chunks of _GRID_ELEMS."""
+    step = max(1, _GRID_ELEMS // len(coefs))
+    peaks = [np.max(coefs @ rows[:, lo:lo + step], axis=1) for lo in range(0, rows.shape[1], step)]
+    return np.sqrt(np.maximum(np.max(peaks, axis=0), 0.0))
+
+
+def _phase_coefs(phis: np.ndarray) -> np.ndarray:
+    return np.array([np.ones_like(phis), np.cos(phis), np.sin(phis)]).T
+
+
+def _mass_coefs(ts: np.ndarray) -> np.ndarray:
+    return np.array([np.ones_like(ts), ts, ts * ts]).T
+
+
+def _line_search(
+    rows: np.ndarray, coefs: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, h: float, lo: float, hi: float,
+    slope: np.ndarray,
+) -> Tuple[float, float]:
+    """(x, sup at x) for x minimizing the affine sup: the best grid point x0, then golden section
+    over [x0 - h, x0 + h] clipped to [lo, hi].
+
+    slope bounds each column's derivative there, so a column whose value at
+    x0 plus h slope stays below another's value minus its own h slope never
+    holds the max; the golden section runs on the other columns.
+    """
+    x0 = grid[np.argmin(_affine_sup(rows, coefs(grid)))]
+    at_x0 = (coefs(np.array([x0])) @ rows)[0]
+    near = rows[:, at_x0 + h * slope >= np.max(at_x0 - h * slope) - 1e-12]
+
+    def sup(x: float) -> float:
+        return math.sqrt(max((coefs(np.array([x])) @ near).max(), 0.0))
+
+    x = golden_min(sup, max(lo, x0 - h), min(hi, x0 + h))
+    return x, sup(x)
+
+
+def _chunked_rows(pair: np.ndarray, form: Callable) -> np.ndarray:
+    """The 3 rows form(x, y) of a stacked scan (x, y), built over column chunks of _GRID_ELEMS.
+
+    The complex temporaries of form stay chunk-sized, not 2 g_range + 1 long.
+    """
+    rows = np.empty((3, pair.shape[1]))
+    for lo in range(0, pair.shape[1], _GRID_ELEMS):
+        rows[:, lo:lo + _GRID_ELEMS] = form(*pair[:, lo:lo + _GRID_ELEMS])
+    return rows
+
+
+def _phase_rows(mu_hat: Scan, w: np.ndarray, j: int) -> Tuple[float, np.ndarray]:
+    """sup |mu_hat(w)| and rows q with |mu_hat|^2 = q . (1, cos phi, sin phi) once w_j = |w_j| e^{i phi}.
+
+    One stacked scan gives mu_hat(w) and e = mu_hat of the unit vector at
+    j; with a = mu_hat(w) - w_j e, |a + |w_j| e^{i phi} e|^2 has the rows
+    (|a|^2 + |w_j|^2 |e|^2, 2 |w_j| Re a conj(e), 2 |w_j| Im a conj(e)).
+    """
+    mag = abs(w[j])
+    scan = mu_hat(np.stack([w, np.eye(w.size, dtype=complex)[j]]))
+
+    def form(mu, e):
+        a = mu - w[j] * e
+        ae = 2.0 * mag * (a * e.conj())
+        return (a * a.conj()).real + mag ** 2 * (e * e.conj()).real, ae.real, ae.imag
+
+    return float(np.max(np.abs(scan[0]))), _chunked_rows(scan, form)
+
+
+def _mass_rows(mu_hat: Scan, w: np.ndarray, d: np.ndarray) -> Tuple[float, np.ndarray]:
+    """sup |mu_hat(w)| and rows q with |mu_hat(w + t d)|^2 = q . (1, t, t^2).
+
+    One stacked scan gives mu_hat(w) and b = mu_hat(d); the rows are
+    (|mu_hat(w)|^2, 2 Re mu_hat(w) conj(b), |b|^2).
+    """
+    scan = mu_hat(np.stack([w, d]))
+
+    def form(mu, b):
+        return (mu * mu.conj()).real, 2.0 * (mu * b.conj()).real, (b * b.conj()).real
+
+    return float(np.max(np.abs(scan[0]))), _chunked_rows(scan, form)
+
+
+def _phase_search(mu_hat: Scan, w: np.ndarray, j: int) -> complex:
+    """w_j after its phase line search (32-point grid), kept if no worse than sup(w)."""
+    sup_w, rows = _phase_rows(mu_hat, w, j)
+    coarse = np.linspace(0.0, 2.0 * np.pi, 33)[:-1]
+    slope = np.hypot(rows[1], rows[2])
+    phi, val = _line_search(rows, _phase_coefs, coarse, 2.0 * np.pi / 32, -np.inf, np.inf, slope)
+    return abs(w[j]) * np.exp(1j * phi) if val <= sup_w else w[j]
+
+
+def _mass_search(mu_hat: Scan, w: np.ndarray, i: int, j: int) -> Tuple[complex, complex]:
+    """(w_i, w_j) after moving mass t from atom j to atom i (17-point grid), kept if below sup(w) - 1e-15."""
+    lo, hi = -abs(w[i]), abs(w[j])
+    u = np.exp(1j * np.angle(w))
+    d = np.zeros_like(w)
+    d[i], d[j] = u[i], -u[j]
+    sup_w, rows = _mass_rows(mu_hat, w, d)
+    slope = np.abs(rows[1]) + 2.0 * max(-lo, hi) * rows[2]
+    t, val = _line_search(rows, _mass_coefs, np.linspace(lo, hi, 17), (hi - lo) / 16, lo, hi, slope)
+    if val < sup_w - 1e-15:
+        return (abs(w[i]) + t) * u[i], (abs(w[j]) - t) * u[j]
+    return w[i], w[j]
+
+
+def _polish(mu_hat: Scan, w: np.ndarray) -> np.ndarray:
+    """Coordinate descent, 4 sweeps: per-atom phase search, then pairwise mass transfer.
+
+    A line search moves w along one direction, so mu_hat is affine in its
+    parameter: _phase_rows and _mass_rows scan w and the direction once,
+    and every candidate's |mu_hat|^2 is then a real 3-row product.  The
+    32-point phase grid and the 17-point mass grid are one product each,
+    refined by golden section (_line_search); a move is kept against sup(w)
+    from that one scan of w.
+    """
     k = w.size
     for _ in range(4):
         for j in range(k):
-            if abs(w[j]) < 1e-14:
-                continue
-            mag = abs(w[j])
-
-            def phase_obj(phi, j=j, mag=mag):
-                trial = w.copy()
-                trial[j] = mag * np.exp(1j * phi)
-                return sup(trial)
-
-            coarse = np.linspace(0.0, 2.0 * np.pi, 33)[:-1]
-            best_phi = min(coarse, key=phase_obj)
-            span = 2.0 * np.pi / 32
-            phi = golden_min(phase_obj, best_phi - span, best_phi + span)
-            if phase_obj(phi) <= sup(w):
-                w[j] = mag * np.exp(1j * phi)
+            if abs(w[j]) >= 1e-14:
+                w[j] = _phase_search(mu_hat, w, j)
         for i in range(k):
             for j in range(i + 1, k):
-
-                def mass_obj(t, i=i, j=j):
-                    trial = w.copy()
-                    trial[i] = (abs(w[i]) + t) * np.exp(1j * np.angle(w[i]))
-                    trial[j] = (abs(w[j]) - t) * np.exp(1j * np.angle(w[j]))
-                    return sup(trial)
-
-                lo, hi = -abs(w[i]), abs(w[j])
-                grid = np.linspace(lo, hi, 17)
-                t0 = min(grid, key=mass_obj)
-                step = (hi - lo) / 16 if hi > lo else 0.0
-                t = golden_min(mass_obj, max(lo, t0 - step), min(hi, t0 + step)) if step else 0.0
-                if mass_obj(t) < sup(w) - 1e-15:
-                    w[i] = (abs(w[i]) + t) * np.exp(1j * np.angle(w[i]))
-                    w[j] = (abs(w[j]) - t) * np.exp(1j * np.angle(w[j]))
+                if abs(w[i]) + abs(w[j]) > 0.0:  # two empty atoms: the only move is t = 0
+                    w[i], w[j] = _mass_search(mu_hat, w, i, j)
         w = _normalize_l1(w)
     return w
 
@@ -146,12 +261,16 @@ def helson_constant(
     """Heuristic upper estimate of the Helson constant over |g| <= g_range.
 
     Minimizes sup_g |mu_hat(g)| over complex weights with ||mu|| = 1 by
-    multi-start projected subgradient descent (500 iterations each, step
-    1/sqrt(iter)) plus coordinate polish; returns the best value found and
-    its witness.  Upper-bounds the true constant restricted to this g
-    window; not a certificate.  Envelope: 1 <= |K| <= 8,
-    0 <= g_range <= 1e6, restarts >= 1; each scan of mu_hat costs
-    O(g_range |K|), so the time grows linearly in g_range.
+    multi-start projected subgradient descent (500 iterations, step
+    0.25/sqrt(iter)) plus coordinate polish; returns the best value found and
+    its witness, with alpha_upper the full scan of |mu_hat| at the witness.
+    The restarts descend in lockstep, in groups of R with R (2 g_range + 1)
+    <= _CHUNK_ELEMS, so each step is one stacked scan per group; each
+    polish line search scans w and its direction once and evaluates its
+    candidates on the affine decomposition of _polish.  Upper-bounds the
+    true constant restricted to this g window; not a certificate.
+    Envelope: 1 <= |K| <= 8, 0 <= g_range <= 1e6, restarts >= 1; each scan
+    of mu_hat costs O(g_range |K|), so the time grows linearly in g_range.
     """
     k = len(K)
     if k == 0 or k > 8:
@@ -167,8 +286,7 @@ def helson_constant(
         return float(np.max(np.abs(mu_hat(w))))
 
     rng = np.random.default_rng(seed)
-    best_w: Optional[np.ndarray] = None
-    best_val = np.inf
+    starts = []
     for r in range(restarts):
         if r == 0:
             w = np.ones(k, dtype=complex) / k
@@ -176,19 +294,16 @@ def helson_constant(
             w = np.exp(2j * np.pi * rng.random(k)) / k
         else:
             w = rng.normal(size=k) + 1j * rng.normal(size=k)
-        w = _normalize_l1(w.astype(complex))
-        for it in range(1, 501):
-            vals = mu_hat(w)
-            i = int(np.argmax(np.abs(vals)))
-            z = vals[i]
-            if abs(z) < 1e-15:
-                break
-            grad = (z / abs(z)) * np.exp(-2j * np.pi * (i - g_range) * lam)
-            w = _normalize_l1(w - (0.25 / math.sqrt(it)) * grad)
-        w = _polish(sup, w)
-        val = sup(w)
-        if val < best_val:
-            best_val, best_w = val, w.copy()
+        starts.append(_normalize_l1(w.astype(complex)))
+    group = max(1, _CHUNK_ELEMS // (2 * g_range + 1))
+    best_w: Optional[np.ndarray] = None
+    best_val = np.inf
+    for r0 in range(0, restarts, group):
+        for w in _descend(mu_hat, lam, g_range, np.array(starts[r0:r0 + group])):
+            w = _polish(mu_hat, w)
+            val = sup(w)
+            if val < best_val:
+                best_val, best_w = val, w.copy()
 
     best_w = _normalize_l1(best_w)
     mods = np.abs(mu_hat(best_w))

@@ -361,18 +361,29 @@ def _block_phasors(lam: np.ndarray, T_len: int):
 
 
 def _synthesize(chunks, amps: np.ndarray, T_len: int) -> np.ndarray:
-    """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len.
+    """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len, for one or a stack of amplitude rows.
 
     chunks are _block_phasors(lam, T_len) for at least one atom: the
     generator for one sum, or a list of it kept to sum many amplitude
-    vectors on fixed atoms.  The first chunk's product is the result, so a
-    one-chunk sum allocates no other (n_blocks, B) array.
+    vectors on fixed atoms.  amps is (A,) or (R, A); a stack is one
+    (R n_blocks, A_chunk) x (A_chunk, B) product per chunk, whose rows are
+    the one-row results bit for bit.  A one-block grid (T_len <= 2) stays
+    3-D, so numpy multiplies it row by row with the dot or gemv it uses for
+    one row, which round unlike gemm.  The first chunk's product is the
+    result, so a one-chunk sum allocates no other (R n_blocks, B) array.
     """
-    parts = ((blocks * amps[sl]) @ base.T for sl, base, blocks in chunks)
-    out = next(parts)  # row b holds n = b*B .. b*B + B - 1
+
+    def product(sl, base, blocks):
+        rows = blocks * amps[..., None, sl]
+        if blocks.shape[0] > 1:
+            rows = rows.reshape(-1, rows.shape[-1])
+        return rows @ base.T
+
+    parts = (product(*chunk) for chunk in chunks)
+    out = next(parts)  # row b of each stacked sum holds n = b*B .. b*B + B - 1
     for part in parts:
         out += part
-    return out.ravel()[:T_len]
+    return out.reshape(*amps.shape[:-1], -1)[..., :T_len]
 
 
 def _mu_hat_scan(lam: np.ndarray, g_range: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -380,7 +391,9 @@ def _mu_hat_scan(lam: np.ndarray, g_range: int) -> Callable[[np.ndarray], np.nda
 
     mu_hat(g) is the kernel's synthesis at n = g + g_range of the weights
     w_j e^{-2 pi i g_range lam_j}; the phasor chunks of lam are built once
-    and reused by every scan, so memory is O(sqrt(g_range) |K|).
+    and reused by every scan, so memory is O(sqrt(g_range) |K|) plus the
+    result.  w may be a stack of weight rows (R, |K|), scanned together as
+    one product with a (R, 2 g_range + 1) result.
     """
     n = 2 * g_range + 1
     chunks = list(_block_phasors(lam, n))

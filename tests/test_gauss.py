@@ -299,6 +299,8 @@ def _spectral_case(draw):
 @example((_complex_noise(1, 35), 3))
 @example((_complex_noise(2, 4_001), 0))
 @example((_complex_noise(3, 4_096), 409))
+@example((_complex_noise(4, G._LAG_CHUNK - 1), (G._LAG_CHUNK - 1) // 10))
+@example((_complex_noise(5, G._LAG_CHUNK + 1), (G._LAG_CHUNK + 1) // 10))
 def test_spectral_matches_per_lag_oracle(case):
     seq, g_max = case
     m2 = float(np.mean(np.abs(seq) ** 2))

@@ -87,6 +87,52 @@ def test_helson_witness_consistent(freqs, g_range, restarts, seed):
     assert abs(mods[est.argmax_g + g_range] - np.max(mods)) <= 1e-12
 
 
+_SEPARATED_K = st.lists(
+    st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8, unique_by=lambda x: round(x * 1e3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEPARATED_K, st.integers(1, 3_000), st.integers(0, 2 ** 32 - 1), st.floats(-7.0, 7.0), st.floats(0.0, 1.0))
+@example([0.1, 0.6], 1, 0, 0.0, 0.5)
+@example([0.3], 10, 1, 3.0, 1.0)
+def test_affine_objectives_match_full_scans(freqs, g_range, seed, phi, frac):
+    # the line searches' 3-row forms against a full scan of the trial weights
+    lam = np.array(freqs)
+    scan = projector._mu_hat_scan(lam, g_range)
+    rng = np.random.default_rng(seed)
+    w = projector._normalize_l1(rng.normal(size=lam.size) + 1j * rng.normal(size=lam.size))
+    i, j = rng.permutation(lam.size)[:2] if lam.size > 1 else (0, 0)
+
+    sup_w, rows = projector._phase_rows(scan, w, j)
+    assert sup_w == np.max(np.abs(scan(w)))
+    trial = w.copy()
+    trial[j] = abs(w[j]) * np.exp(1j * phi)
+    full = np.max(np.abs(scan(trial)))
+    assert abs(projector._affine_sup(rows, projector._phase_coefs(np.array([phi])))[0] - full) <= 1e-12 * full
+
+    if i != j:
+        u = np.exp(1j * np.angle(w))
+        t = -abs(w[i]) + frac * (abs(w[i]) + abs(w[j]))
+        d = np.zeros_like(w)
+        d[i], d[j] = u[i], -u[j]
+        _, rows = projector._mass_rows(scan, w, d)
+        trial = w.copy()
+        trial[i], trial[j] = (abs(w[i]) + t) * u[i], (abs(w[j]) - t) * u[j]
+        full = np.max(np.abs(scan(trial)))
+        assert abs(projector._affine_sup(rows, projector._mass_coefs(np.array([t])))[0] - full) <= 1e-12 * full
+
+
+def test_helson_restart_groups_do_not_change_the_result(monkeypatch):
+    # lockstep descent in one group of five against groups of one restart
+    K = FiniteFrequencySet((0.1, 0.37, 0.8))
+    together = helson_constant(K, g_range=100, restarts=5, seed=4)
+    monkeypatch.setattr(projector, "_CHUNK_ELEMS", 201)
+    alone = helson_constant(K, g_range=100, restarts=5, seed=4)
+    assert together.alpha_upper == alone.alpha_upper
+    assert np.array_equal(together.witness_measure.weights(), alone.witness_measure.weights())
+
+
 def test_helson_independent_pair_near_one():
     K = FiniteFrequencySet((math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0))
     est = helson_constant(K, g_range=10_000, restarts=3, seed=3)

@@ -270,6 +270,21 @@ def test_fourier_coeff_conjugate_symmetry():
     assert np.max(np.abs(vals - direct)) <= 1e-12
 
 
+@pytest.mark.parametrize("g_range", [0, 1, 100, 10_000])
+def test_stacked_scan_rows_equal_one_row_scans(g_range):
+    # the Helson restarts scan in lockstep: every row of a stacked scan must
+    # be the lone scan of its weights bit for bit, at any stack height
+    rng = np.random.default_rng(g_range)
+    for k in range(1, 9):
+        scan = _mu_hat_scan(rng.random(k), g_range)
+        W = rng.normal(size=(6, k)) + 1j * rng.normal(size=(6, k))
+        for height in (2, 6):
+            stacked = scan(W[:height])
+            assert stacked.shape == (height, 2 * g_range + 1)
+            for w, row in zip(W, stacked):
+                assert np.array_equal(scan(w), row)
+
+
 # ---------------------------------------------------------------------------
 # dense FFT oracle
 # ---------------------------------------------------------------------------
