@@ -5,8 +5,8 @@ and Gaussian/Carleman diagnostics of stationary processes."""
 import os
 import sys
 
-# The lab's own pools (HELSON_LAB_THREADS) own the CPUs; OpenBLAS worker
-# threads would only spin beside them.  OpenBLAS reads this once, when numpy
+# The lab's own pool (tasks.run_tasks) owns the CPUs; OpenBLAS worker
+# threads would only spin beside it.  OpenBLAS reads this once, when numpy
 # loads, so the default only takes effect before anything imports numpy.  A
 # value the user set wins.
 if "numpy" not in sys.modules:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -36,8 +36,10 @@ from .projector import (
     filter_with_indicator,
     helson_constant,
     l2_coeff_distance,
+    projector_series,
 )
 from .riesz import RieszProductSpec, dense_coefficient_oracle, full_support
+from .tasks import run_tasks
 from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
@@ -58,8 +60,8 @@ _DEGREE = 24
 _LAM8 = sorted((k * GOLDEN) % 1.0 for k in range(1, 9))
 _GAUSS_MODEL_SEED = 13  # pinned: both z-margin and 4-se coverage hold
 _MOMENT_SEED = 7
-# Longest first by seconds on one worker at seed 7 (9: 0.63, 7: 0.29, 6: 0.22,
-# 2: 0.16, 5: 0.12, 8: 0.10, 4: 0.06, 1: 0.05, 3: 0.01), except that 8 and 2
+# Longest first by seconds on one worker at seed 7 (9: 0.46, 7: 0.21, 6: 0.15,
+# 5: 0.10, 2: 0.09, 8: 0.08, 4: 0.04, 1: 0.04, 3: 0.003), except that 8 and 2
 # follow 7 at once.  Those three each allocate tens of MB; queued back to back
 # they run on one thread while 9 holds the other, so they reuse one malloc
 # arena.  Spread over two threads (plain longest first) they took verify-all's
@@ -97,9 +99,8 @@ def check_drury_pipeline(seed: int) -> dict:
     for n in (3, 6, 10):
         for eps, (sigma, cert) in mela.items():
             d = mix_drury(n, sigma, eps)
-            basis_err = max(
-                abs(d.psi.coeffs.get(e, 0j) - 1.0) for e in d.basis_points()
-            )
+            # every basis point -e_j carries the pruned stratum-0 moment
+            basis_err = abs(d._pruned_moments()[0] - 1.0)
             off = d.max_off_basis()
             mc, se = l1_norm_monte_carlo(d, 8000, seed=seed + 11 * n)
             passed = bool(
@@ -183,9 +184,7 @@ def check_projector_telescope() -> dict:
     eigs = sorted(model.eigenvalue(m) for m, _ in model.modes)
     K = FiniteFrequencySet(tuple(eigs[i] for i in range(0, 32, 4)))
     F = [e for i, e in enumerate(eigs) if i % 4 != 0]
-    # the stages eps_k = e^{-2k} of projector_series at p = 2, solved on this
-    # thread: the criteria already run on the worker pool
-    series = [approx_indicator(K, F, math.exp(-2.0 * k), _DEGREE) for k in (1, 2, 3)]
+    series = projector_series(K, F, 2.0, 3, _DEGREE)  # inline: the criteria run on the pool
     exact, kept = apply_projector(model, K, tol_match=1e-9)
     norm = model.l2_norm()
     samples = np.concatenate([K.values(), F])[:, None]
@@ -326,15 +325,14 @@ def _timed(fn: Callable[[], dict]) -> Tuple[dict, float]:
     return result, time.perf_counter() - t0
 
 
-def run_acceptance(seed: int = 7, workers: int = 1) -> Tuple[Dict, Dict[str, float]]:
-    """All checks on `workers` threads; returns (deterministic results, wall-clock seconds).
+def run_acceptance(seed: int = 7) -> Tuple[Dict, Dict[str, float]]:
+    """All checks by run_tasks; returns (deterministic results, wall-clock seconds).
 
     The checks share no state, so they may run in any order and overlap;
     both dicts are keyed by criterion number, and the runtimes of
     overlapping checks do not sum to the total.  Checks go in about
     longest first (`_SUBMIT_ORDER`), so the short ones fill in behind the
-    long ones.  A check's exception re-raises here, and checks not yet
-    started are cancelled.
+    long ones.  The first failing check in criterion order re-raises here.
     """
     steps = {
         "1": check_mela_bound,
@@ -347,14 +345,7 @@ def run_acceptance(seed: int = 7, workers: int = 1) -> Tuple[Dict, Dict[str, flo
         "8": check_moment_machinery,
         "9": lambda: check_helson_sanity(seed),
     }
-    done: Dict[str, Tuple[dict, float]] = {}
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = {pool.submit(_timed, steps[key]): key for key in _SUBMIT_ORDER}
-        for fut in as_completed(futures):
-            done[futures[fut]] = fut.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    done = run_tasks({key: partial(_timed, fn) for key, fn in steps.items()}, _SUBMIT_ORDER)
     results = {key: done[key][0] for key in steps}
     payload = {
         "seed": seed,

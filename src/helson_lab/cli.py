@@ -18,7 +18,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -29,13 +29,14 @@ from .acceptance import results_json, run_acceptance
 from .drury import mix_drury
 from .errors import ConfigParse, HelsonLabError, MomentCheckFailed
 from .mela import SignedGridMeasure, solve_mela
-from .projector import helson_constant, projector_series
+from .projector import helson_constant, projector_series_by_p
 from .riesz import (
     RieszProductSpec,
     convolution_power_profile,
     full_support,
     rigidity_search,
 )
+from .tasks import run_tasks, worker_count
 from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
@@ -46,29 +47,6 @@ from .torus import (
 _SWEEP_DEFAULT = "0.5,0.3679,0.1353,0.05,0.01832,0.01,0.00248,0.001"
 # gauss-sim's report sections, longest first (traced at 64 atoms, T = 2e5)
 _GAUSS_SUBMIT_ORDER = ("spectral", "increments", "gaussianity", "moments")
-
-
-def worker_count() -> int:
-    """Size of the `mela --sweep`, projector stage, gauss-sim section and
-    verify-all criteria pools.
-
-    HELSON_LAB_THREADS, at most the CPUs (default: the CPU count).  These
-    pools are the lab's one level of threads: OpenBLAS defaults to one
-    thread (OPENBLAS_NUM_THREADS, set in the package's __init__ unless the
-    user set it), and HiGHS picks its own.  The manifest's "threads"
-    records this value and "blas_threads" the OpenBLAS one.
-    """
-    cap = os.environ.get("HELSON_LAB_THREADS")
-    n_cpu = os.cpu_count() or 1
-    if cap is None:
-        return n_cpu
-    try:
-        n = int(cap)
-    except ValueError:
-        raise ConfigParse(f"HELSON_LAB_THREADS must be an integer, got {cap!r}")
-    if n < 1:
-        raise ConfigParse(f"HELSON_LAB_THREADS must be >= 1, got {n}")
-    return min(n, n_cpu)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -161,10 +139,11 @@ def _cmd_mela(args) -> int:
         eps_list = sorted(
             (float(tok) for tok in args.sweep.split(",") if tok.strip()), reverse=True
         )
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            solved = list(pool.map(lambda e: (e, solve_mela(e, args.grid, args.kmax)), eps_list))
+        tasks = {e: partial(solve_mela, e, args.grid, args.kmax) for e in eps_list}
+        solved = run_tasks(tasks, tasks)
         rows = []
-        for eps, (_, cert) in solved:
+        for eps in eps_list:
+            cert = solved[eps][1]
             rows.append([eps, cert.tv, cert.mela_bound, cert.valid])
             if not cert.valid:
                 status = 1
@@ -239,8 +218,7 @@ def _cmd_projector(args) -> int:
     p_list = [float(tok) for tok in args.p.split(",") if tok.strip()]
     series_out = {}
     rows = []
-    for p in p_list:
-        series = projector_series(K, F, p=p, k_terms=args.kterms, degree=args.degree, workers=worker_count())
+    for p, series in zip(p_list, projector_series_by_p(K, F, p_list, args.kterms, args.degree)):
         series_out[str(p)] = [ind.to_json_dict() for ind in series]
         for ind in series:
             rows.append([p, ind.epsilon, ind.a_norm, ind.lp_objective])
@@ -300,7 +278,7 @@ def _cmd_gauss_sim(args) -> int:
         windows = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
         return G.increment_dependence_test(windows, 0, 1, seed=args.seed).to_json_dict()
 
-    # the sections only read seq, model and freqs, so they run on one pool
+    # the sections only read seq, model and freqs, so they may run concurrently
     sections = {
         "moments": lambda: G.moment_report(seq, args.pmax).to_json_dict(),
         "spectral": lambda: [
@@ -311,13 +289,7 @@ def _cmd_gauss_sim(args) -> int:
     }
     todo = [k for k in sections if k in wanted and (k != "increments" or len(freqs) >= 2)]
     report: Dict[str, object] = {"model": args.model, "T_len": args.len, "seed": args.seed}
-    pool = ThreadPoolExecutor(max_workers=worker_count())
-    try:
-        futures = {k: pool.submit(sections[k]) for k in _GAUSS_SUBMIT_ORDER if k in todo}
-        for key in todo:  # in report order, so the first failing section raises
-            report[key] = futures[key].result()
-    finally:
-        pool.shutdown(cancel_futures=True)  # a failed section drops those not yet started
+    report.update(run_tasks({k: sections[k] for k in todo}, [k for k in _GAUSS_SUBMIT_ORDER if k in todo]))
     jpath = os.path.join(args.out, "gauss_sim.json")
     _write_json(jpath, report)
     outputs = [jpath]
@@ -336,7 +308,7 @@ def _cmd_gauss_sim(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    payload, runtimes = run_acceptance(args.seed, workers=worker_count())
+    payload, runtimes = run_acceptance(args.seed)
     path = os.path.join(args.out, "acceptance.json")
     _atomic_write(path, results_json(payload))
     args._outputs = [path]

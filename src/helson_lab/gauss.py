@@ -72,9 +72,7 @@ def _check_len(T_len: int) -> int:
 
 
 @dataclass(frozen=True)
-class GaussianModel:
-    """X_n = sum_j sqrt(w_j) zeta_j e^{2 pi i n lambda_j}, zeta_j std complex Gaussian."""
-
+class _AtomicModel:
     spectrum: AtomicCircleMeasure
     T_len: int
     seed: int
@@ -82,6 +80,10 @@ class GaussianModel:
     def __post_init__(self):
         _validated_spectrum(self.spectrum)
         _check_len(self.T_len)
+
+
+class GaussianModel(_AtomicModel):
+    """X_n = sum_j sqrt(w_j) zeta_j e^{2 pi i n lambda_j}, zeta_j std complex Gaussian."""
 
     def unit_amplitudes(self, n_atoms: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -90,17 +92,8 @@ class GaussianModel:
         return (re + 1j * im) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class RandomPhaseModel:
+class RandomPhaseModel(_AtomicModel):
     """Same covariance as GaussianModel but zeta_j = e^{2 pi i theta_j}, unit modulus."""
-
-    spectrum: AtomicCircleMeasure
-    T_len: int
-    seed: int
-
-    def __post_init__(self):
-        _validated_spectrum(self.spectrum)
-        _check_len(self.T_len)
 
     def unit_amplitudes(self, n_atoms: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -550,10 +543,12 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> Gau
     W_boot = W[idx]
     W_boot_sum = np.sum(W_boot, axis=1)
     for k in ks:
-        m2k = float(np.mean(a2 ** k))
+        psi = a2 ** k
+        m2k = float(np.mean(psi))
         dev = m2k - math.factorial(k) * m2 ** k
-        # influence function of m_{2k} - k! m_2^k under time averaging
-        psi = a2 ** k - math.factorial(k) * k * m2 ** (k - 1) * a2
+        # influence function of m_{2k} - k! m_2^k under time averaging, made
+        # in place from a2^k so no third length-T array is alive
+        psi -= math.factorial(k) * k * m2 ** (k - 1) * a2
         st = _batch_se(psi)
         boots = _random_phase_moment(k, W_boot) - math.factorial(k) * W_boot_sum ** k
         sr = float(np.std(boots, ddof=1))

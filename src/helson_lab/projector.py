@@ -1,24 +1,11 @@
 """Helson constants, approximate indicators, and the telescoping projector.
 
 approx_indicator builds a degree-D trig polynomial phi with phi = 1 on a
-finite set K and |phi| <= eps on sampled forbidden points F, minimizing a
-polyhedral surrogate of the A-norm sum |phi_hat(n)|.  Each coefficient is
-split into nonnegative parts x = p - q, y = u - w with a ceiling r bounded
-by the octagonal support function
-
-    r >= p + q,   r >= u + w,   sqrt(2) r >= p + q + u + w,
-
-so r >= cos(pi/8) |phi_hat(n)| always holds and the true A-norm of the
-solution is within sec(pi/8) ~ 1.083 of the LP objective.  The modulus
-caps on F use the inscribed regular 8-gon (right-hand side eps cos(pi/8)),
-which guarantees |phi| <= eps at every constrained point.  The caps are
-posed on lifted variables P_t = Re phi(t) + eps, Q_t = Im phi(t) + eps
-(nonnegative wherever the caps hold), so the 8 |F| cap rows are 2-sparse.
-The coefficients of n and -n are folded into their sums and differences,
-so the 2 (|K| + |F|) dense Re/Im rows carry 2N entries, N = 2 degree + 1,
-instead of 4N: 5N + 2|K| + 10|F| rows over 9N + 2|F| variables.  HiGHS
-solves the result by interior point with crossover.  Each indicator
-carries the LP's iteration count and duality gap.
+finite set K and |phi| <= eps on sampled forbidden points F by the LP of
+_indicator_lp.  Its ceilings give r_n >= cos(pi/8) |phi_hat(n)|, so the
+true A-norm of the solution is within sec(pi/8) ~ 1.083 of the LP
+objective, and its inscribed 8-gon caps guarantee |phi| <= eps at every
+constrained point.
 
 The telescoping series uses eps_k = e^{-kp} exactly; sup differences of
 consecutive indicators are bounded by 2 eps_k on the constraint set by
@@ -26,25 +13,21 @@ construction and re-checked numerically.
 
 helson_constant is a heuristic upper estimate: multi-start projected
 subgradient descent on the ell^1 sphere followed by coordinate polish; it
-reports the best witness found, never a certified constant.  The restarts
-descend in lockstep, one stacked scan of mu_hat per step.  Each polish
-line search moves the weights along one direction, so mu_hat is affine in
-its parameter: one scan of the weights and one of the direction turn every
-candidate into a real 3-row product, and no (2 g_range + 1) x |K| table is
-built.
+reports the best witness found, never a certified constant.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSeparation, OutOfRange
 from .linprog import LP_MAX_ENTRIES, ConstraintMatrix, dense_entries, lp_solve
+from .tasks import run_tasks
 from .torus import (
     _CHUNK_ELEMS,
     AtomicCircleMeasure,
@@ -233,17 +216,17 @@ def _mass_search(mu_hat: Scan, w: np.ndarray, i: int, j: int) -> Tuple[complex, 
 
 
 def _polish(mu_hat: Scan, w: np.ndarray) -> np.ndarray:
-    """Coordinate descent, 4 sweeps: per-atom phase search, then pairwise mass transfer.
+    """Coordinate descent, up to 4 sweeps: per-atom phase search, then pairwise mass transfer.
 
-    A line search moves w along one direction, so mu_hat is affine in its
-    parameter: _phase_rows and _mass_rows scan w and the direction once,
-    and every candidate's |mu_hat|^2 is then a real 3-row product.  The
-    32-point phase grid and the 17-point mass grid are one product each,
-    refined by golden section (_line_search); a move is kept against sup(w)
-    from that one scan of w.
+    Each line search scans w and its direction once (_phase_rows,
+    _mass_rows) and evaluates its candidates as real 3-row products
+    (_line_search); a move is kept against sup(w) from that scan.  A sweep
+    is a function of w, so after one that returns w bit-identical every
+    later one would too, and the sweeps stop there.
     """
     k = w.size
     for _ in range(4):
+        start = w.copy()
         for j in range(k):
             if abs(w[j]) >= 1e-14:
                 w[j] = _phase_search(mu_hat, w, j)
@@ -252,6 +235,8 @@ def _polish(mu_hat: Scan, w: np.ndarray) -> np.ndarray:
                 if abs(w[i]) + abs(w[j]) > 0.0:  # two empty atoms: the only move is t = 0
                     w[i], w[j] = _mass_search(mu_hat, w, i, j)
         w = _normalize_l1(w)
+        if np.array_equal(w, start):
+            break
     return w
 
 
@@ -264,11 +249,10 @@ def helson_constant(
     multi-start projected subgradient descent (500 iterations, step
     0.25/sqrt(iter)) plus coordinate polish; returns the best value found and
     its witness, with alpha_upper the full scan of |mu_hat| at the witness.
-    The restarts descend in lockstep, in groups of R with R (2 g_range + 1)
-    <= _CHUNK_ELEMS, so each step is one stacked scan per group; each
-    polish line search scans w and its direction once and evaluates its
-    candidates on the affine decomposition of _polish.  Upper-bounds the
-    true constant restricted to this g window; not a certificate.
+    The restarts descend in lockstep (_descend), in groups of R with
+    R (2 g_range + 1) <= _CHUNK_ELEMS, then each is polished (_polish).
+    Upper-bounds the true constant restricted to this g window; not a
+    certificate.
     Envelope: 1 <= |K| <= 8, 0 <= g_range <= 1e6, restarts >= 1; each scan
     of mu_hat costs O(g_range |K|), so the time grows linearly in g_range.
     """
@@ -459,14 +443,9 @@ def approx_indicator(
     """LP construction of a near-indicator of K avoiding F.
 
     minimize sum_n r_n  s.t.  octagonal ceilings on each coefficient,
-    phi(lambda) = 1 for lambda in K (two real equalities), and 8-gon
-    modulus caps |phi(t)| <= eps for t in F_samples.  The LP is lifted: two
-    equalities per t tie P_t = Re phi(t) + eps and Q_t = Im phi(t) + eps to
-    the coefficients, and each of the 8 |F| caps is a 2-entry row in
-    (P_t, Q_t).  It is folded: the Re/Im rows run over the sums and
-    differences of the coefficients of n and -n, tied to them by 2N link
-    rows.  With N = 2 degree + 1 that is 5 N + 2 |K| + 10 |F| rows over
-    9 N + 2 |F| variables, solved by lp_solve's interior point.
+    phi = 1 on K and 8-gon modulus caps |phi(t)| <= eps for t in F_samples,
+    lifted and folded as in _indicator_lp: 5 N + 2 |K| + 10 |F| rows over
+    9 N + 2 |F| variables, N = 2 degree + 1, solved by lp_solve.
 
     Envelope: 1 <= degree <= 512, |K| >= 1, |K| + |F| <= 500, and
     (R + 1) x V <= LP_MAX_ENTRIES (2^25) for R = 3 N + 2 |K| + 10 |F| and
@@ -525,48 +504,44 @@ def approx_indicator(
 
 
 def projector_series(
-    K: FiniteFrequencySet,
-    F_samples: Sequence[float],
-    p: float,
-    k_terms: int,
-    degree: int,
-    workers: int = 1,
+    K: FiniteFrequencySet, F_samples: Sequence[float], p: float, k_terms: int, degree: int
 ) -> List[ApproxIndicator]:
-    """Indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms.
+    """Indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms: projector_series_by_p at [p]."""
+    return projector_series_by_p(K, F_samples, [p], k_terms, degree)[0]
+
+
+def projector_series_by_p(
+    K: FiniteFrequencySet, F_samples: Sequence[float], ps: Sequence[float], k_terms: int, degree: int
+) -> List[List[ApproxIndicator]]:
+    """For each p in ps, the indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms.
 
     Terms with eps_k below the double-precision floor 1e-14 are dropped.
-    The stages are independent LPs, solved on a pool of `workers` threads
-    (HiGHS releases the GIL), smallest eps first since those take the most
-    iterations; they are returned in eps order, and a stage's exception is
-    re-raised here.  Each stage in flight holds its own LP and HiGHS
-    memory.  Consecutive sup differences on K u F are re-checked against
-    2 eps_k.
+    The stages are independent LPs: each distinct eps of all the series is
+    solved once by run_tasks (HiGHS releases the GIL), smallest first since
+    those take the most iterations, and shared (e^{-2*2} == e^{-1*4}).  Each
+    stage in flight holds its own LP and HiGHS memory.  Each series comes
+    back in eps order, its consecutive sup differences on K u F re-checked
+    against 2 eps_k.
     """
-    if p < 2.0 or p > 16.0:
-        raise OutOfRange(f"p must lie in [2, 16], got {p}")
-    if k_terms < 1 or k_terms > 6:
-        raise OutOfRange(f"k_terms must be in 1..6, got {k_terms}")
-    eps_list = [math.exp(-k * p) for k in range(1, k_terms + 1)]
-    eps_list = [e for e in eps_list if e >= 1e-14]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        stages = {e: pool.submit(approx_indicator, K, F_samples, e, degree) for e in sorted(eps_list)}
-        try:
-            series = [stages[e].result() for e in eps_list]
-        finally:
-            pool.shutdown(cancel_futures=True)  # a failed stage drops those not yet started
-    pts = np.concatenate([K.values(), np.array(F_samples, dtype=float)])
-    for k in range(len(series) - 1):
-        d = np.max(
-            np.abs(
-                series[k + 1].phi.evaluate(pts[:, None])
-                - series[k].phi.evaluate(pts[:, None])
-            )
-        )
-        if d > 2.0 * eps_list[k] + 1e-6:
-            raise OutOfRange(
-                f"sup difference {d:.3e} violates the 2 eps_k bound at k={k + 1}"
-            )
-    return series
+    ladders = []
+    for p in ps:
+        if p < 2.0 or p > 16.0:
+            raise OutOfRange(f"p must lie in [2, 16], got {p}")
+        if k_terms < 1 or k_terms > 6:
+            raise OutOfRange(f"k_terms must be in 1..6, got {k_terms}")
+        ladders.append([e for e in (math.exp(-k * p) for k in range(1, k_terms + 1)) if e >= 1e-14])
+    eps_all = sorted({e for eps_list in ladders for e in eps_list}, reverse=True)
+    solved = run_tasks({e: partial(approx_indicator, K, F_samples, e, degree) for e in eps_all}, eps_all[::-1])
+    pts = np.concatenate([K.values(), np.array(F_samples, dtype=float)])[:, None]
+    out = []
+    for eps_list in ladders:
+        series = [solved[e] for e in eps_list]
+        for k, (prev, ind) in enumerate(zip(series, series[1:]), start=1):
+            d = np.max(np.abs(ind.phi.evaluate(pts) - prev.phi.evaluate(pts)))
+            if d > 2.0 * prev.epsilon + 1e-6:
+                raise OutOfRange(f"sup difference {d:.3e} violates the 2 eps_k bound at k={k}")
+        out.append(series)
+    return out
 
 
 # ---------------------------------------------------------------------------

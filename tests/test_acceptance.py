@@ -12,8 +12,9 @@ from helson_lab.acceptance import results_json, run_acceptance
 
 @pytest.fixture(scope="module")
 def acceptance():
-    payload, runtimes = run_acceptance(7)
-    return payload, runtimes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HELSON_LAB_THREADS", "1")
+        return run_acceptance(7)
 
 
 def _line(num: int, payload: dict, extra: str = "") -> bool:
@@ -99,25 +100,30 @@ def test_criterion_9_helson_sanity(acceptance):
     )
 
 
-def test_criterion_10_determinism(acceptance):
+def test_criterion_10_determinism(acceptance, two_workers):
     # the fixture ran on one worker; the bytes must not depend on the pool size
     payload, _ = acceptance
-    again, _ = run_acceptance(7, workers=2)
+    again, _ = run_acceptance(7)
     same = results_json(payload) == results_json(again)
     print(f"[criterion 10] {'PASS' if same else 'FAIL'} determinism byte-identical={same}")
     assert same
 
 
-def test_failing_criterion_propagates_from_the_pool(monkeypatch):
-    def broken(seed):
-        raise RuntimeError("criterion 9 broke")
+def test_failing_criterion_propagates_from_the_pool(monkeypatch, two_workers):
+    # criterion 9 is submitted first and fails at once, criterion 3 last;
+    # the failure raised is the first in criterion order, not the first to happen
+    def broken(name):
+        def check(*args):
+            raise RuntimeError(f"{name} broke")
+        return check
 
-    monkeypatch.setattr(A, "check_helson_sanity", broken)
+    monkeypatch.setattr(A, "check_helson_sanity", broken("criterion 9"))
+    monkeypatch.setattr(A, "check_riesz_identities", broken("criterion 3"))
     caught = []
 
     def run():
         try:
-            run_acceptance(7, workers=2)
+            run_acceptance(7)
         except RuntimeError as exc:
             caught.append(exc)
 
@@ -125,4 +131,4 @@ def test_failing_criterion_propagates_from_the_pool(monkeypatch):
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive(), "run_acceptance hung after a criterion raised"
-    assert [str(exc) for exc in caught] == ["criterion 9 broke"]
+    assert [str(exc) for exc in caught] == ["criterion 3 broke"]

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 import helson_lab
-from helson_lab import cli
+from helson_lab import cli, projector
 from helson_lab.cli import main, worker_count
 from helson_lab.errors import MomentCheckFailed, OutOfRange
 from helson_lab.mela import solve_mela
@@ -165,6 +165,27 @@ def test_projector_outputs(tmp_path, freq_files):
     for stage in series["2.0"]:
         assert stage["lp_iterations"] > 0
         assert 0.0 <= stage["lp_duality_gap"] <= 1e-8 * (1.0 + stage["lp_objective"])
+
+
+def test_projector_solves_each_distinct_epsilon_once(tmp_path, freq_files, monkeypatch):
+    # e^{-2*2} == e^{-1*4}: --p 2,4 over 3 terms is 5 distinct stages, not 6
+    kf, ff = freq_files
+    real, solved = projector.approx_indicator, []
+
+    def counting(K, F, epsilon, degree):
+        solved.append(epsilon)
+        return real(K, F, epsilon, degree)
+
+    monkeypatch.setattr(projector, "approx_indicator", counting)
+    out = tmp_path / "run"
+    assert main(["projector", "--K", kf, "--F", ff, "--p", "2,4", "--kterms", "3",
+                 "--degree", "24", "--out", str(out)]) == 0
+    assert sorted(solved) == sorted({math.exp(-k * p) for p in (2.0, 4.0) for k in (1, 2, 3)})
+    assert len(solved) == 5
+    series = read_json(out / "projector_series.json")
+    assert series["4.0"][0] == series["2.0"][1]
+    _, rows = read_csv(out / "projector_growth.csv")
+    assert len(rows) == 6
 
 
 def test_riesz_support_and_profile(tmp_path):
@@ -332,7 +353,7 @@ def test_gauss_sim_first_failing_section_in_report_order_wins(tmp_path, spectrum
 
 
 def test_verify_all_stubbed(tmp_path, monkeypatch):
-    def fake_acceptance(seed, workers):
+    def fake_acceptance(seed):
         payload = {
             "seed": seed,
             "all_passed": True,
@@ -350,7 +371,7 @@ def test_verify_all_stubbed(tmp_path, monkeypatch):
 
 
 def test_verify_all_reports_failure(tmp_path, monkeypatch):
-    def fake_acceptance(seed, workers):
+    def fake_acceptance(seed):
         payload = {
             "seed": seed,
             "all_passed": False,
@@ -439,7 +460,7 @@ def test_config_seed_only_where_the_flag_exists(tmp_path, freq_files, spectrum_f
                       "--report", "spectral"],
         "verify-all": ["verify-all"],
     }[command]
-    monkeypatch.setattr(cli, "run_acceptance", lambda seed, workers: (
+    monkeypatch.setattr(cli, "run_acceptance", lambda seed: (
         {"seed": seed, "all_passed": True, "checks": {}}, {}))
     out = tmp_path / "run"
     cpath = write_json(tmp_path / "cfg.json", {"seed": 3})

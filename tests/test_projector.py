@@ -560,30 +560,31 @@ def test_series_sup_differences(golden_kf):
         assert d <= 2.0 * eps_k + 1e-6
 
 
-def test_series_pool_matches_one_worker(golden_kf):
+def test_series_pool_matches_one_worker(golden_kf, monkeypatch, two_workers):
     K, F = golden_kf
-    one = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=1)
-    two = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=2)
+    two = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    monkeypatch.setenv("HELSON_LAB_THREADS", "1")
+    one = projector_series(K, F, p=2.0, k_terms=3, degree=24)
     assert [ind.to_json_dict() for ind in two] == [ind.to_json_dict() for ind in one]
 
 
 def test_series_solves_smallest_eps_first(monkeypatch, golden_kf):
-    # the small-eps stages take the most iterations, so they start first;
+    # the small-eps stages take the most iterations, so they are submitted first;
     # the series still comes back in eps order
     K, F = golden_kf
-    real, started = projector.approx_indicator, []
+    real, submitted = projector.run_tasks, []
 
-    def recording(K, F_samples, epsilon, degree):
-        started.append(epsilon)
-        return real(K, F_samples, epsilon, degree)
+    def recording(stages, order):
+        submitted.extend(order)
+        return real(stages, order)
 
-    monkeypatch.setattr(projector, "approx_indicator", recording)
-    series = projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=1)
-    assert started == sorted(started) and len(started) == 3
-    assert [ind.epsilon for ind in series] == sorted(started, reverse=True)
+    monkeypatch.setattr(projector, "run_tasks", recording)
+    series = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    assert submitted == sorted(submitted) and len(submitted) == 3
+    assert [ind.epsilon for ind in series] == sorted(submitted, reverse=True)
 
 
-def test_series_stage_failure_propagates(monkeypatch, golden_kf):
+def test_series_stage_failure_propagates(monkeypatch, golden_kf, two_workers):
     # one stage raising on the pool surfaces in the caller; the run ends
     K, F = golden_kf
     real = projector.approx_indicator
@@ -599,7 +600,7 @@ def test_series_stage_failure_propagates(monkeypatch, golden_kf):
 
     def run():
         try:
-            projector_series(K, F, p=2.0, k_terms=3, degree=24, workers=2)
+            projector_series(K, F, p=2.0, k_terms=3, degree=24)
         except InfeasibleSeparation as exc:
             raised.append(exc)
 
