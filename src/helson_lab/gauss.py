@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -291,14 +291,7 @@ class IncrementDependenceReport:
     n_boot: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "stat_cross": self.stat_cross,
-            "null_q99": self.null_q99,
-            "dependent": self.dependent,
-            "orthogonality_z": self.orthogonality_z,
-            "flatness": list(self.flatness),
-            "n_boot": self.n_boot,
-        }
+        return asdict(self)
 
 
 def increment_dependence_test(
@@ -381,15 +374,7 @@ class MomentReport:
     growth_fit: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_grid": list(self.p_grid),
-            "lp_norms": list(self.lp_norms),
-            "lp_std_errs": list(self.lp_std_errs),
-            "carleman_partial": list(self.carleman_partial),
-            "logconvex_violations": self.logconvex_violations,
-            "monotone_violations": self.monotone_violations,
-            "growth_fit": self.growth_fit,
-        }
+        return asdict(self)
 
 
 def moment_report(seq: np.ndarray, P: int) -> MomentReport:
@@ -499,15 +484,7 @@ class GaussianityReport:
     gaussian_consistent: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k_values": list(self.k_values),
-            "z_scores": list(self.z_scores),
-            "deviations": list(self.deviations),
-            "se_time": list(self.se_time),
-            "se_realization": list(self.se_realization),
-            "atom_powers": list(self.atom_powers),
-            "gaussian_consistent": self.gaussian_consistent,
-        }
+        return asdict(self)
 
 
 def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> GaussianityReport:

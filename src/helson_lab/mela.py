@@ -12,7 +12,7 @@ total-variation target is 2 |log eps| + 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -92,18 +92,7 @@ class MomentCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "k_max": self.k_max,
-            "first_moment_error": self.first_moment_error,
-            "max_odd_moment": self.max_odd_moment,
-            "tail_bound": self.tail_bound,
-            "tv": self.tv,
-            "mela_bound": self.mela_bound,
-            "lp_iterations": self.lp_iterations,
-            "lp_duality_gap": self.lp_duality_gap,
-            "valid": self.valid,
-        }
+        return {**asdict(self), "valid": self.valid}
 
 
 def mela_bound(epsilon: float) -> float:

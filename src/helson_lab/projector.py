@@ -119,121 +119,105 @@ def _affine_sup(rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.max(peaks, axis=0), 0.0))
 
 
-def _phase_coefs(phis: np.ndarray) -> np.ndarray:
-    return np.array([np.ones_like(phis), np.cos(phis), np.sin(phis)]).T
+def _phase_move(w: np.ndarray, j: int) -> tuple:
+    """_line_search's (d, form, coefs, slope, grid, h, lo, hi) for w_j = |w_j| e^{i phi} (32-point grid).
+
+    d is the unit vector at j.  With e = mu_hat(d) and a = mu_hat(w) - w_j e,
+    |a + |w_j| e^{i phi} e|^2 has the rows (|a|^2 + |w_j|^2 |e|^2,
+    2 |w_j| Re a conj(e), 2 |w_j| Im a conj(e)) against (1, cos phi, sin phi).
+    """
+    wj, mag = w[j], abs(w[j])
+
+    def form(mu, e):
+        a = mu - wj * e
+        ae = 2.0 * mag * (a * e.conj())
+        return (a * a.conj()).real + mag ** 2 * (e * e.conj()).real, ae.real, ae.imag
+
+    return (np.eye(w.size, dtype=complex)[j], form, lambda x: np.array([np.ones_like(x), np.cos(x), np.sin(x)]).T,
+            lambda q: np.hypot(q[1], q[2]), np.linspace(0.0, 2.0 * np.pi, 33)[:-1], 2.0 * np.pi / 32, -np.inf, np.inf)
 
 
-def _mass_coefs(ts: np.ndarray) -> np.ndarray:
-    return np.array([np.ones_like(ts), ts, ts * ts]).T
+def _mass_move(w: np.ndarray, i: int, j: int) -> tuple:
+    """_line_search's (d, form, coefs, slope, grid, h, lo, hi) for moving mass t from atom j to atom i (17-point grid).
+
+    d is u_i at i and -u_j at j, u the phases of w.  With b = mu_hat(d),
+    |mu_hat(w + t d)|^2 has the rows (|mu_hat(w)|^2, 2 Re mu_hat(w) conj(b),
+    |b|^2) against (1, t, t^2), for t in [-|w_i|, |w_j|].
+    """
+    lo, hi = -abs(w[i]), abs(w[j])
+    u = np.exp(1j * np.angle(w))
+    d = np.zeros_like(w)
+    d[i], d[j] = u[i], -u[j]
+
+    def form(mu, b):
+        return (mu * mu.conj()).real, 2.0 * (mu * b.conj()).real, (b * b.conj()).real
+
+    return (d, form, lambda x: np.array([np.ones_like(x), x, x * x]).T,
+            lambda q: np.abs(q[1]) + 2.0 * max(-lo, hi) * q[2], np.linspace(lo, hi, 17), (hi - lo) / 16, lo, hi)
+
+
+def _rows(mu_hat: Scan, w: np.ndarray, d: np.ndarray, form: Callable) -> Tuple[float, np.ndarray]:
+    """sup |mu_hat(w)| and the 3 rows form(mu_hat(w), mu_hat(d)) of one stacked scan.
+
+    The rows are built over column chunks of _GRID_ELEMS, so the complex
+    temporaries of form stay chunk-sized, not 2 g_range + 1 long.
+    """
+    scan = mu_hat(np.stack([w, d]))
+    sup_w = float(np.max(np.abs(scan[0])))
+    rows = np.empty((3, scan.shape[1]))
+    for lo in range(0, scan.shape[1], _GRID_ELEMS):
+        rows[:, lo:lo + _GRID_ELEMS] = form(*scan[:, lo:lo + _GRID_ELEMS])
+    return sup_w, rows
 
 
 def _line_search(
-    rows: np.ndarray, coefs: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, h: float, lo: float, hi: float,
-    slope: np.ndarray,
-) -> Tuple[float, float]:
-    """(x, sup at x) for x minimizing the affine sup: the best grid point x0, then golden section
-    over [x0 - h, x0 + h] clipped to [lo, hi].
+    mu_hat: Scan, w: np.ndarray, d: np.ndarray, form: Callable, coefs: Callable[[np.ndarray], np.ndarray],
+    slope: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, h: float, lo: float, hi: float,
+) -> Tuple[float, float, float]:
+    """(sup |mu_hat(w)|, x, sup at x) for the move along d whose |mu_hat|^2 is coefs(x) . rows.
 
-    slope bounds each column's derivative there, so a column whose value at
-    x0 plus h slope stays below another's value minus its own h slope never
-    holds the max; the golden section runs on the other columns.
+    x minimizes the affine sup: the best grid point x0, then golden section
+    over [x0 - h, x0 + h] clipped to [lo, hi].  slope(rows) bounds each
+    column's derivative there, so a column whose value at x0 plus h slope
+    stays below another's value minus its own h slope never holds the max;
+    the golden section runs on the other columns.
     """
+    sup_w, rows = _rows(mu_hat, w, d, form)
+    s = slope(rows)
     x0 = grid[np.argmin(_affine_sup(rows, coefs(grid)))]
     at_x0 = (coefs(np.array([x0])) @ rows)[0]
-    near = rows[:, at_x0 + h * slope >= np.max(at_x0 - h * slope) - 1e-12]
+    near = rows[:, at_x0 + h * s >= np.max(at_x0 - h * s) - 1e-12]
 
     def sup(x: float) -> float:
         return math.sqrt(max((coefs(np.array([x])) @ near).max(), 0.0))
 
     x = golden_min(sup, max(lo, x0 - h), min(hi, x0 + h))
-    return x, sup(x)
-
-
-def _chunked_rows(pair: np.ndarray, form: Callable) -> np.ndarray:
-    """The 3 rows form(x, y) of a stacked scan (x, y), built over column chunks of _GRID_ELEMS.
-
-    The complex temporaries of form stay chunk-sized, not 2 g_range + 1 long.
-    """
-    rows = np.empty((3, pair.shape[1]))
-    for lo in range(0, pair.shape[1], _GRID_ELEMS):
-        rows[:, lo:lo + _GRID_ELEMS] = form(*pair[:, lo:lo + _GRID_ELEMS])
-    return rows
-
-
-def _phase_rows(mu_hat: Scan, w: np.ndarray, j: int) -> Tuple[float, np.ndarray]:
-    """sup |mu_hat(w)| and rows q with |mu_hat|^2 = q . (1, cos phi, sin phi) once w_j = |w_j| e^{i phi}.
-
-    One stacked scan gives mu_hat(w) and e = mu_hat of the unit vector at
-    j; with a = mu_hat(w) - w_j e, |a + |w_j| e^{i phi} e|^2 has the rows
-    (|a|^2 + |w_j|^2 |e|^2, 2 |w_j| Re a conj(e), 2 |w_j| Im a conj(e)).
-    """
-    mag = abs(w[j])
-    scan = mu_hat(np.stack([w, np.eye(w.size, dtype=complex)[j]]))
-
-    def form(mu, e):
-        a = mu - w[j] * e
-        ae = 2.0 * mag * (a * e.conj())
-        return (a * a.conj()).real + mag ** 2 * (e * e.conj()).real, ae.real, ae.imag
-
-    return float(np.max(np.abs(scan[0]))), _chunked_rows(scan, form)
-
-
-def _mass_rows(mu_hat: Scan, w: np.ndarray, d: np.ndarray) -> Tuple[float, np.ndarray]:
-    """sup |mu_hat(w)| and rows q with |mu_hat(w + t d)|^2 = q . (1, t, t^2).
-
-    One stacked scan gives mu_hat(w) and b = mu_hat(d); the rows are
-    (|mu_hat(w)|^2, 2 Re mu_hat(w) conj(b), |b|^2).
-    """
-    scan = mu_hat(np.stack([w, d]))
-
-    def form(mu, b):
-        return (mu * mu.conj()).real, 2.0 * (mu * b.conj()).real, (b * b.conj()).real
-
-    return float(np.max(np.abs(scan[0]))), _chunked_rows(scan, form)
-
-
-def _phase_search(mu_hat: Scan, w: np.ndarray, j: int) -> complex:
-    """w_j after its phase line search (32-point grid), kept if no worse than sup(w)."""
-    sup_w, rows = _phase_rows(mu_hat, w, j)
-    coarse = np.linspace(0.0, 2.0 * np.pi, 33)[:-1]
-    slope = np.hypot(rows[1], rows[2])
-    phi, val = _line_search(rows, _phase_coefs, coarse, 2.0 * np.pi / 32, -np.inf, np.inf, slope)
-    return abs(w[j]) * np.exp(1j * phi) if val <= sup_w else w[j]
-
-
-def _mass_search(mu_hat: Scan, w: np.ndarray, i: int, j: int) -> Tuple[complex, complex]:
-    """(w_i, w_j) after moving mass t from atom j to atom i (17-point grid), kept if below sup(w) - 1e-15."""
-    lo, hi = -abs(w[i]), abs(w[j])
-    u = np.exp(1j * np.angle(w))
-    d = np.zeros_like(w)
-    d[i], d[j] = u[i], -u[j]
-    sup_w, rows = _mass_rows(mu_hat, w, d)
-    slope = np.abs(rows[1]) + 2.0 * max(-lo, hi) * rows[2]
-    t, val = _line_search(rows, _mass_coefs, np.linspace(lo, hi, 17), (hi - lo) / 16, lo, hi, slope)
-    if val < sup_w - 1e-15:
-        return (abs(w[i]) + t) * u[i], (abs(w[j]) - t) * u[j]
-    return w[i], w[j]
+    return sup_w, x, sup(x)
 
 
 def _polish(mu_hat: Scan, w: np.ndarray) -> np.ndarray:
-    """Coordinate descent, up to 4 sweeps: per-atom phase search, then pairwise mass transfer.
+    """Coordinate descent, up to 4 sweeps: per-atom phase moves, then pairwise mass transfers.
 
-    Each line search scans w and its direction once (_phase_rows,
-    _mass_rows) and evaluates its candidates as real 3-row products
-    (_line_search); a move is kept against sup(w) from that scan.  A sweep
-    is a function of w, so after one that returns w bit-identical every
-    later one would too, and the sweeps stop there.
+    Each move is one _line_search.  A phase move is kept if no worse than
+    sup(w), a mass move if below sup(w) - 1e-15.  A sweep is a function of
+    w, so after one that returns w bit-identical every later one would too,
+    and the sweeps stop there.
     """
     k = w.size
     for _ in range(4):
         start = w.copy()
         for j in range(k):
             if abs(w[j]) >= 1e-14:
-                w[j] = _phase_search(mu_hat, w, j)
+                sup_w, phi, val = _line_search(mu_hat, w, *_phase_move(w, j))
+                if val <= sup_w:
+                    w[j] = abs(w[j]) * np.exp(1j * phi)
         for i in range(k):
             for j in range(i + 1, k):
                 if abs(w[i]) + abs(w[j]) > 0.0:  # two empty atoms: the only move is t = 0
-                    w[i], w[j] = _mass_search(mu_hat, w, i, j)
+                    d, *search = _mass_move(w, i, j)
+                    sup_w, t, val = _line_search(mu_hat, w, d, *search)
+                    if val < sup_w - 1e-15:  # d is (u_i, -u_j) at (i, j)
+                        w[i], w[j] = (abs(w[i]) + t) * d[i], (abs(w[j]) - t) * -d[j]
         w = _normalize_l1(w)
         if np.array_equal(w, start):
             break

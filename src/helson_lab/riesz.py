@@ -15,16 +15,13 @@ n_{j+1} > 2 sum_{i<=j} n_i is required instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotDissociate, OutOfRange
-
-_LEVEL_WORK_CAP = 5_000_000  # states per support-level scan
+from .errors import NotDissociate, OutOfRange
 
 
 def _signed_sums(freqs: Tuple[int, ...], coeffs: Tuple[int, ...]) -> np.ndarray:
@@ -97,11 +94,13 @@ class RieszProductSpec:
 
 @lru_cache(maxsize=16)
 def _mitm_tables(freqs: Tuple[int, ...]):
-    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
+    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)), for N <= 12.
 
     nnz counts the nonzero signs behind each sum.  The spec is dissociate, so
     each half's sums are distinct and their sorted order is unique.
     """
+    if len(freqs) > 12:
+        raise OutOfRange(f"support tables support N <= 12, got N = {len(freqs)}")
     half = len(freqs) // 2
     out = []
     for part in (freqs[:half], freqs[half:]):
@@ -115,38 +114,26 @@ def _mitm_tables(freqs: Tuple[int, ...]):
     return out[0], out[1]
 
 
-def _support_in_range(spec: RieszProductSpec, m_range: int, positive_only: bool) -> Optional[Tuple[int, int]]:
-    """Smallest-level support point with 0 < |m| <= m_range.
+def _support_in_range(spec: RieszProductSpec, m_range: int) -> Optional[Tuple[int, int]]:
+    """(level, m) for the support point 0 < m <= m_range of smallest level, then smallest m, or None.
 
-    Scans levels L = 1, 2, ... (number of nonzero signs); the first level
-    with a point in range carries the maximal coefficient (alpha/2)^L.
-    Returns (level, m) with the smallest |m| (positive preferred) or None.
+    The level is the number of nonzero signs, read from the _mitm_tables;
+    the point carries the maximal coefficient (alpha/2)^level over
+    0 < |m| <= m_range.  The support is symmetric, so the smallest |m| of
+    that level is taken positive.
     """
-    freqs = spec.freqs
-    N = len(freqs)
-    work = 0
-    for L in range(1, N + 1):
-        best: Optional[int] = None
-        for combo in itertools.combinations(range(N), L):
-            work += 1 << L
-            if work > _LEVEL_WORK_CAP:
-                raise BudgetExceeded("support-level scan exceeded its work cap")
-            vals = np.array([freqs[i] for i in combo], dtype=np.int64)
-            for signs in itertools.product((-1, 1), repeat=L):
-                m = int(np.dot(signs, vals))
-                if positive_only and m <= 0:
-                    continue
-                if m == 0 or abs(m) > m_range:
-                    continue
-                if best is None or (abs(m), m < 0) < (abs(best), best < 0):
-                    best = m
-        if best is not None:
-            return L, best
-    return None
+    (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
+    m = (sl[:, None] + sr[None, :]).ravel()
+    keep = np.flatnonzero((m > 0) & (m <= m_range))
+    if keep.size == 0:
+        return None
+    m, level = m[keep], (nl[:, None] + nr[None, :]).ravel()[keep]
+    i = np.lexsort((m, level))[0]
+    return int(level[i]), int(m[i])
 
 
 def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> Tuple[float, int]:
-    """Max over 0 < |m| <= m_range of |sigma_hat(m)|^k and its location.
+    """Max over 0 < |m| <= m_range of |sigma_hat(m)|^k and its location, for N <= 12.
 
     Coefficients of the k-fold convolution are sigma_hat(m)^k, so the max
     sits at the smallest-level representable point; ties break to the
@@ -156,7 +143,7 @@ def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> T
         raise OutOfRange(f"k must be >= 1, got {k}")
     if m_range > 10 ** 7:
         raise OutOfRange(f"m_range must be <= 1e7, got {m_range}")
-    found = _support_in_range(spec, m_range, positive_only=False)
+    found = _support_in_range(spec, m_range)
     if found is None:
         return 0.0, 0
     level, m = found
@@ -165,7 +152,7 @@ def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> T
 
 
 def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:
-    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range.
+    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range, for N <= 12.
 
     Finite truncations cap the ratio at alpha/2 (attained at g = n_j), so
     the diagnostic shows how truncation destroys rigidity: the returned
@@ -173,7 +160,7 @@ def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:
     """
     if g_range > 10 ** 7:
         raise OutOfRange(f"g_range must be <= 1e7, got {g_range}")
-    found = _support_in_range(spec, g_range, positive_only=True)
+    found = _support_in_range(spec, g_range)
     if found is None:
         return 1, 0.0
     level, m = found
@@ -185,9 +172,6 @@ def full_support(spec: RieszProductSpec) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns (m sorted ascending, coefficient values), 3^N entries.
     """
-    N = len(spec.freqs)
-    if N > 12:
-        raise OutOfRange("full support enumeration supports N <= 12")
     (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
     m = (sl[:, None] + sr[None, :]).ravel()
     nnz = (nl[:, None] + nr[None, :]).ravel()

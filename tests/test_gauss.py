@@ -549,9 +549,10 @@ def test_gaussianity_guards(xg_200k):
 def test_reports_serialize():
     spec = AtomicCircleMeasure.from_pairs([(0.3, 1.0)])
     x = G.simulate(G.RandomPhaseModel(spectrum=spec, T_len=5_000, seed=1))
-    d = G.gaussianity_test(x, 2, freqs=[0.3]).to_json_dict()
+    # the artifact holds the JSON text, where tuples are lists
+    d = json.loads(json.dumps(G.gaussianity_test(x, 2, freqs=[0.3]).to_json_dict()))
     assert d["k_values"] == [1, 2] and isinstance(d["gaussian_consistent"], bool)
-    d = G.moment_report(x, 6).to_json_dict()
+    d = json.loads(json.dumps(G.moment_report(x, 6).to_json_dict()))
     assert d["p_grid"] == [2, 4, 6]
     pts = G.estimate_spectral(x, 1)
     assert {"g", "re", "im", "std_err"} == set(pts[0].to_json_dict())

@@ -97,30 +97,40 @@ _SEPARATED_K = st.lists(
 @example([0.1, 0.6], 1, 0, 0.0, 0.5)
 @example([0.3], 10, 1, 3.0, 1.0)
 def test_affine_objectives_match_full_scans(freqs, g_range, seed, phi, frac):
-    # the line searches' 3-row forms against a full scan of the trial weights
+    # each move's 3-row form at an arbitrary phi or t, and the value its line
+    # search returns (pruned to the near columns), against full scans
     lam = np.array(freqs)
     scan = projector._mu_hat_scan(lam, g_range)
     rng = np.random.default_rng(seed)
     w = projector._normalize_l1(rng.normal(size=lam.size) + 1j * rng.normal(size=lam.size))
     i, j = rng.permutation(lam.size)[:2] if lam.size > 1 else (0, 0)
 
-    sup_w, rows = projector._phase_rows(scan, w, j)
-    assert sup_w == np.max(np.abs(scan(w)))
-    trial = w.copy()
-    trial[j] = abs(w[j]) * np.exp(1j * phi)
-    full = np.max(np.abs(scan(trial)))
-    assert abs(projector._affine_sup(rows, projector._phase_coefs(np.array([phi])))[0] - full) <= 1e-12 * full
+    def check(move, x, moved):
+        d, form, coefs = move[:3]
+        sup_w, rows = projector._rows(scan, w, d, form)
+        assert sup_w == np.max(np.abs(scan(w)))
+        full = np.max(np.abs(scan(moved(x))))
+        assert abs(projector._affine_sup(rows, coefs(np.array([x])))[0] - full) <= 1e-12 * full
+        searched, x, val = projector._line_search(scan, w, *move)
+        assert searched == sup_w
+        full = np.max(np.abs(scan(moved(x))))
+        assert abs(val - full) <= 1e-12 * full
 
+    def phase_moved(x):
+        trial = w.copy()
+        trial[j] = abs(w[j]) * np.exp(1j * x)
+        return trial
+
+    check(projector._phase_move(w, j), phi, phase_moved)
     if i != j:
         u = np.exp(1j * np.angle(w))
-        t = -abs(w[i]) + frac * (abs(w[i]) + abs(w[j]))
-        d = np.zeros_like(w)
-        d[i], d[j] = u[i], -u[j]
-        _, rows = projector._mass_rows(scan, w, d)
-        trial = w.copy()
-        trial[i], trial[j] = (abs(w[i]) + t) * u[i], (abs(w[j]) - t) * u[j]
-        full = np.max(np.abs(scan(trial)))
-        assert abs(projector._affine_sup(rows, projector._mass_coefs(np.array([t])))[0] - full) <= 1e-12 * full
+
+        def mass_moved(t):
+            trial = w.copy()
+            trial[i], trial[j] = (abs(w[i]) + t) * u[i], (abs(w[j]) - t) * u[j]
+            return trial
+
+        check(projector._mass_move(w, i, j), -abs(w[i]) + frac * (abs(w[i]) + abs(w[j])), mass_moved)
 
 
 def test_helson_restart_groups_do_not_change_the_result(monkeypatch):

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helson_lab import riesz
 from helson_lab.errors import NotDissociate, OutOfRange
 from helson_lab.riesz import (
     RieszProductSpec,
@@ -175,3 +182,66 @@ def test_rigidity_bounded_by_half_alpha():
     g, val = rigidity_search(spec, 10 ** 5)
     assert val <= 0.9 / 2 + 1e-15
     assert g == 4
+
+
+@lru_cache(maxsize=1)  # the eight queries of one example share a scan
+def _levels_by_sign_scan(freqs):
+    """The m of every sign pattern on L = 1..N nonzero signs, one Python sum per pattern."""
+    return tuple(
+        tuple(sum(map(operator.mul, signs, vals))
+              for vals in itertools.combinations(freqs, L)
+              for signs in itertools.product((-1, 1), repeat=L))
+        for L in range(1, len(freqs) + 1)
+    )
+
+
+def _support_by_sign_scan(freqs, m_range, positive_only):
+    """Reference for _support_in_range: the first level with a point in range, its smallest |m|, positive first."""
+    for L, ms in enumerate(_levels_by_sign_scan(freqs), start=1):
+        best = None
+        for m in ms:
+            if (positive_only and m <= 0) or m == 0 or abs(m) > m_range:
+                continue
+            if best is None or (abs(m), m < 0) < (abs(best), best < 0):
+                best = m
+        if best is not None:
+            return L, best
+    return None
+
+
+@st.composite
+def _dissociate_freqs(draw):
+    kind = draw(st.sampled_from(["doubling", "powers of 3", "ties"]))
+    if kind == "ties":
+        return (5, 8, 12)
+    N = draw(st.integers(1, 12))
+    if kind == "powers of 3":
+        start = draw(st.integers(0, 1))
+        return tuple(3 ** j for j in range(start, start + N))
+    freqs, total = [draw(st.integers(1, 5))], 0
+    for _ in range(N - 1):
+        total += freqs[-1]
+        freqs.append(2 * total + draw(st.integers(1, max(1, total))))
+    return tuple(freqs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dissociate_freqs())
+@example((5, 8, 12))
+@example(tuple(3 ** j for j in range(1, 13)))
+def test_support_selection_matches_sign_scan(freqs):
+    # the profile and the rigidity search ask for the same point: the
+    # support is symmetric, and the positive twin wins the tie
+    spec = RieszProductSpec(0.5, freqs)
+    for m_range in (1, 2, freqs[0] - 1, 10 ** 7):
+        for positive_only in (False, True):
+            expected = _support_by_sign_scan(freqs, m_range, positive_only)
+            assert riesz._support_in_range(spec, m_range) == expected
+
+
+def test_profiles_refuse_thirteen_frequencies():
+    spec = RieszProductSpec(0.5, tuple(3 ** j for j in range(1, 14)))
+    with pytest.raises(OutOfRange):
+        convolution_power_profile(spec, 1, 10)
+    with pytest.raises(OutOfRange):
+        rigidity_search(spec, 10)
