@@ -284,7 +284,7 @@ def _cmd_gauss_sim(args) -> int:
         "spectral": lambda: [
             p.to_json_dict() for p in G.estimate_spectral(seq, min(50, args.len // 10))
         ],
-        "gaussianity": lambda: G.gaussianity_test(seq, 3, freqs=freqs).to_json_dict(),
+        "gaussianity": lambda: G.gaussianity_test(seq, 3, freqs=freqs, model=model).to_json_dict(),
         "increments": increments,
     }
     todo = [k for k in sections if k in wanted and (k != "increments" or len(freqs) >= 2)]

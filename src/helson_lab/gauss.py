@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import OutOfRange
-from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _synthesize
+from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _phasor_table, _synthesize
 
 _BATCHES = 32  # batch-means blocks for time standard errors
 # samples per chunk of _lag_sums' pass: cache-sized, and a dot this long
@@ -81,6 +82,17 @@ class _AtomicModel:
         _validated_spectrum(self.spectrum)
         _check_len(self.T_len)
 
+    @cached_property
+    def _atoms(self) -> Tuple[np.ndarray, np.ndarray, Optional[list]]:
+        """Sorted frequencies, amplitudes sqrt(w_j) xi_j and the run's phasor table, built on first use.
+
+        Amplitudes are drawn once per (seed, sorted atom index), so sub-sums
+        over frequency windows reuse exactly the draws of the full sequence.
+        The table (torus._phasor_table) lives and dies with the model.
+        """
+        lam, w = _validated_spectrum(self.spectrum)
+        return lam, np.sqrt(w) * self.unit_amplitudes(lam.size), _phasor_table(lam, self.T_len)
+
 
 class GaussianModel(_AtomicModel):
     """X_n = sum_j sqrt(w_j) zeta_j e^{2 pi i n lambda_j}, zeta_j std complex Gaussian."""
@@ -100,22 +112,11 @@ class RandomPhaseModel(_AtomicModel):
         return np.exp(2j * np.pi * rng.random(n_atoms))
 
 
-def _model_amplitudes(model) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted frequencies with per-atom complex amplitudes sqrt(w_j) xi_j.
-
-    Amplitudes are drawn once per (seed, sorted atom index), so sub-sums over
-    frequency windows reuse exactly the draws of the full sequence.
-    """
-    lam, w = _validated_spectrum(model.spectrum)
-    xi = model.unit_amplitudes(lam.size)
-    return lam, np.sqrt(w) * xi
-
-
 def simulate(model) -> np.ndarray:
     """Length-T_len realization; deterministic in model.seed."""
-    lam, amps = _model_amplitudes(model)
+    lam, amps, table = model._atoms
     T = _check_len(model.T_len)
-    return _synthesize(_block_phasors(lam, T), amps, T)
+    return _synthesize(table or _block_phasors(lam, T), amps, T)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +138,17 @@ class SpectralPoint:
         }
 
 
-def _block_se(block_means: np.ndarray) -> float:
-    """Standard error of a mean from the means of its B equal blocks."""
-    B = block_means.size
-    return float(np.std(block_means, ddof=1) / math.sqrt(B)) if B >= 2 else 0.0
+def _block_ses(block_means: Sequence[np.ndarray]) -> List[float]:
+    """Standard error of each mean from the means of its B equal blocks (0 for B < 2).
+
+    One np.std per distinct B; a row-wise reduction rounds as a 1-D one does.
+    """
+    sizes = np.array([bm.size for bm in block_means])
+    out = np.zeros(sizes.size)
+    for B in np.unique(sizes[sizes >= 2]):
+        rows = np.flatnonzero(sizes == B)
+        out[rows] = np.std([block_means[i] for i in rows], axis=1, ddof=1) / math.sqrt(B)
+    return out.tolist()
 
 
 def _batch_se(values: np.ndarray) -> float:
@@ -148,7 +156,7 @@ def _batch_se(values: np.ndarray) -> float:
     T = values.size
     B = min(_BATCHES, T)
     edge = (T // B) * B
-    return _block_se(values[:edge].reshape(B, -1).mean(axis=1))
+    return _block_ses([values[:edge].reshape(B, -1).mean(axis=1)])[0]
 
 
 def _hankel_dots(xw: np.ndarray, yc: np.ndarray, d: int) -> np.ndarray:
@@ -248,11 +256,12 @@ def estimate_spectral(seq: np.ndarray, g_max: int) -> List[SpectralPoint]:
     totals[0], means[0] = totals[0].real, means[0].real
     floor_sq = 0.5 * float(np.mean(np.abs(probe_totals / (T - probes)) ** 2)) if probes.size else 0.0
 
-    out: List[SpectralPoint] = []
-    for g, (total, bm) in enumerate(zip(totals, means)):
-        se = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2 + floor_sq)
-        out.append(SpectralPoint(g=g, value=complex(total / (T - g)), std_err=se))
-    return out
+    se_re = _block_ses([bm.real for bm in means])
+    se_im = _block_ses([bm.imag for bm in means])
+    return [
+        SpectralPoint(g=g, value=complex(total / (T - g)), std_err=math.sqrt(sr ** 2 + si ** 2 + floor_sq))
+        for g, (total, sr, si) in enumerate(zip(totals, se_re, se_im))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +281,16 @@ def spectral_process(model, thresholds: Sequence[float]) -> Tuple[np.ndarray, ..
         raise OutOfRange("thresholds must be a nonempty strictly increasing list")
     if ts[0] < 0.0 or ts[-1] > 1.0:
         raise OutOfRange("thresholds must lie in [0, 1]")
-    lam, amps = _model_amplitudes(model)
+    lam, amps, table = model._atoms
     T = _check_len(model.T_len)
+
+    def window(m):
+        # column subsets in C order, the layout of a fresh build (base[:, m] is F-ordered)
+        sub = table and [(sl, base.compress(m, 1), blocks.compress(m, 1)) for sl, base, blocks in table]
+        return _synthesize(sub or _block_phasors(lam[m], T), amps[m], T)
+
     masks = [(lam >= a) & (lam < b) for a, b in zip(ts, ts[1:])]
-    return tuple(
-        _synthesize(_block_phasors(lam[m], T), amps[m], T) if m.any() else np.zeros(T, dtype=complex)
-        for m in masks
-    )
+    return tuple(window(m) if m.any() else np.zeros(T, dtype=complex) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -342,7 +354,8 @@ def increment_dependence_test(
         q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
     (ortho_sum,), (bm,), _ = _lag_sums(da, db, 0, np.zeros(0, dtype=int))
     ortho = ortho_sum / T
-    se_o = math.sqrt(_block_se(bm.real) ** 2 + _block_se(bm.imag) ** 2)
+    sr, si = _block_ses([bm.real, bm.imag])
+    se_o = math.sqrt(sr ** 2 + si ** 2)
     z_o = float(abs(ortho) / se_o) if se_o > 0 else 0.0
 
     def flat(x: np.ndarray) -> float:
@@ -403,31 +416,26 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
     B = min(_BATCHES, T)
     edge = (T // B) * B
 
-    norms: List[float] = []
-    ses: List[float] = []
     mps: List[float] = []
-    batch_log_mp: List[np.ndarray] = []
+    bms: List[np.ndarray] = []
     for p in ps:
         ap = a ** p
-        mp = float(np.mean(ap))
-        mps.append(mp)
-        norm = mp ** (1.0 / p)
-        bm = ap[:edge].reshape(B, -1).mean(axis=1)
-        # delta method: d norm / d mp = norm / (p mp)
-        ses.append(_block_se(bm) * norm / (p * mp) if mp > 0 else 0.0)
-        norms.append(norm)
-        batch_log_mp.append(np.log(np.maximum(bm, 1e-300)))
+        mps.append(float(np.mean(ap)))
+        bms.append(ap[:edge].reshape(B, -1).mean(axis=1))
+    norms = [mp ** (1.0 / p) for p, mp in zip(ps, mps)]
+    # delta method: d norm / d mp = norm / (p mp)
+    ses = [se * n / (p * mp) if mp > 0 else 0.0 for se, n, p, mp in zip(_block_ses(bms), norms, ps, mps)]
 
     carleman = np.cumsum([1.0 / n for n in norms])
 
     logconvex_violations = 0
     log_mp = np.array([math.log(max(mp, 1e-300)) for mp in mps])
-    for i in range(1, len(ps) - 1):
+    batch_log_mp = np.log(np.maximum(bms, 1e-300))
+    d2_b = batch_log_mp[:-2] - 2.0 * batch_log_mp[1:-1] + batch_log_mp[2:]
+    for i, se in enumerate(_block_ses(d2_b), start=1):
         d2 = log_mp[i - 1] - 2.0 * log_mp[i] + log_mp[i + 1]
-        d2_b = batch_log_mp[i - 1] - 2.0 * batch_log_mp[i] + batch_log_mp[i + 1]
-        tol = 3.0 * float(np.std(d2_b, ddof=1) / math.sqrt(len(d2_b))) if len(d2_b) > 1 else 0.0
         # float-roundoff floor guards the zero-variance (constant modulus) case
-        if d2 < -(tol + 1e-9):
+        if d2 < -(3.0 * se + 1e-9):
             logconvex_violations += 1
 
     monotone_violations = 0
@@ -453,24 +461,25 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
 # Gaussianity z-scores
 # ---------------------------------------------------------------------------
 
-def _random_phase_moment(k: int, W: np.ndarray) -> np.ndarray:
-    """E|sum_j sqrt(W_j) u_j|^{2k} over independent uniform phases u_j, per row of W.
+def _random_phase_moments(k_max: int, W: np.ndarray) -> np.ndarray:
+    """E|sum_j sqrt(W_j) u_j|^{2k} over independent uniform phases u_j: column k <= k_max, row of W.
 
     Equals k!^2 [x^k] prod_j sum_a (W_j^a / a!^2) x^a; this is also the
     almost-sure time-average limit of |X_n|^{2k} for atomic synthesis with
     realized atom powers W_j and generic frequencies.  Each row of the 2-D W
-    is one set of atom powers; all rows run the truncated product at once.
+    is one set of atom powers; all rows run one product truncated at k_max,
+    whose degree-k coefficient sums as in a product truncated at k.
     """
-    fact_sq = np.array([math.factorial(a) ** 2 for a in range(k + 1)], dtype=float)
-    gen = W[:, :, None] ** np.arange(k + 1) / fact_sq  # gen[..., 0] == 1
-    poly = np.zeros((W.shape[0], k + 1))
+    fact_sq = np.array([math.factorial(a) ** 2 for a in range(k_max + 1)], dtype=float)
+    gen = W[:, :, None] ** np.arange(k_max + 1) / fact_sq  # gen[..., 0] == 1
+    poly = np.zeros((W.shape[0], k_max + 1))
     poly[:, 0] = 1.0
     for j in range(W.shape[1]):
         nxt = poly.copy()
-        for a in range(1, k + 1):
-            nxt[:, a:] += poly[:, : k + 1 - a] * gen[:, j, a, None]
+        for a in range(1, k_max + 1):
+            nxt[:, a:] += poly[:, : k_max + 1 - a] * gen[:, j, a, None]
         poly = nxt
-    return math.factorial(k) ** 2 * poly[:, k]
+    return fact_sq * poly
 
 
 @dataclass(frozen=True)
@@ -487,7 +496,7 @@ class GaussianityReport:
         return asdict(self)
 
 
-def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> GaussianityReport:
+def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=None) -> GaussianityReport:
     """z-scores of E|X|^{2k} against the Gaussian ladder k! (E|X|^2)^k.
 
     The standard error adds batched time noise to a realization term from
@@ -499,7 +508,8 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> Gau
     k! m_2^k, e.g. np.std of 400 equal bootstrap values) counts as 0, and a
     k whose standard error is 0 and whose deviation is not gets z = None
     (JSON null).  Verdict: Gaussian-consistent iff every z is a number with
-    |z| <= 3.
+    |z| <= 3.  The amplitude reads use model's phasor table when seq has
+    its length and freqs are its sorted frequencies.
     """
     if k_max < 1 or k_max > 6:
         raise OutOfRange(f"k_max must be in 1..6, got {k_max}")
@@ -508,7 +518,9 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> Gau
     seq = np.asarray(seq)
     a2 = np.abs(seq) ** 2
     m2 = float(np.mean(a2))
-    W = np.abs(_amplitudes_at(seq, np.array([float(l) % 1.0 for l in freqs]))) ** 2
+    lams = np.array([float(l) % 1.0 for l in freqs])
+    shared = model is not None and model.T_len == seq.size and np.array_equal(model._atoms[0], lams)
+    W = np.abs(_amplitudes_at(seq, lams, model._atoms[2] if shared else None)) ** 2
 
     ks = list(range(1, k_max + 1))
     devs: List[float] = []
@@ -519,6 +531,7 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> Gau
     idx = rng.integers(0, W.size, size=(_GAUSS_BOOT, W.size))
     W_boot = W[idx]
     W_boot_sum = np.sum(W_boot, axis=1)
+    moments = _random_phase_moments(k_max, W_boot)
     for k in ks:
         psi = a2 ** k
         m2k = float(np.mean(psi))
@@ -527,7 +540,7 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float]) -> Gau
         # in place from a2^k so no third length-T array is alive
         psi -= math.factorial(k) * k * m2 ** (k - 1) * a2
         st = _batch_se(psi)
-        boots = _random_phase_moment(k, W_boot) - math.factorial(k) * W_boot_sum ** k
+        boots = moments[:, k] - math.factorial(k) * W_boot_sum ** k
         sr = float(np.std(boots, ddof=1))
         se = math.sqrt(st ** 2 + sr ** 2)
         devs.append(dev)

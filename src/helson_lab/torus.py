@@ -360,6 +360,15 @@ def _block_phasors(lam: np.ndarray, T_len: int):
         yield sl, base, blocks
 
 
+def _phasor_table(lam: np.ndarray, T_len: int):
+    """_block_phasors(lam, T_len) as a list kept for many sums when lam fits in one chunk, else None.
+
+    Its C-ordered column subsets are a fresh build for lam[m], bit for bit.
+    """
+    B, _ = _block_grid(T_len)
+    return list(_block_phasors(lam, T_len)) if lam.size <= max(1, _CHUNK_ELEMS // B) else None
+
+
 def _synthesize(chunks, amps: np.ndarray, T_len: int) -> np.ndarray:
     """X_n = sum_j amps_j e^{2 pi i n lam_j} for n < T_len, for one or a stack of amplitude rows.
 
@@ -401,15 +410,15 @@ def _mu_hat_scan(lam: np.ndarray, g_range: int) -> Callable[[np.ndarray], np.nda
     return lambda w: _synthesize(chunks, w * shift, n)
 
 
-def _amplitudes_at(seq: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """(1/T) sum_n seq_n e^{-2 pi i n lam} for every lam: the adjoint of _synthesize."""
+def _amplitudes_at(seq: np.ndarray, lams: np.ndarray, table=None) -> np.ndarray:
+    """(1/T) sum_n seq_n e^{-2 pi i n lam} per lam, _synthesize's adjoint; table is _phasor_table(lams, T)."""
     T = seq.size
     B, n_blocks = _block_grid(T)
     rows = np.zeros(n_blocks * B, dtype=complex)
     rows[:T] = seq
     rows = rows.reshape(n_blocks, B)
     out = np.empty(lams.size, dtype=complex)
-    for sl, base, blocks in _block_phasors(lams, T):
+    for sl, base, blocks in table or _block_phasors(lams, T):
         out[sl] = np.sum((rows @ base.conj()) * blocks.conj(), axis=0) / T
     return out
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import helson_lab
@@ -291,6 +292,33 @@ def test_gauss_sim_pool_matches_one_worker(tmp_path, spectrum_file, monkeypatch)
     assert finished == ["moments", "spectral"]
     one, two = (tmp_path / d / "gauss_sim.json" for d in ("one", "two"))
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_gauss_sim_tables_do_not_outlive_their_run(tmp_path):
+    # each run builds its own phasor tables: runs in one process, on different
+    # spectra and on one spectrum with both models, write what fresh processes write
+    specs = []
+    for n in (5, 9):
+        rng = np.random.default_rng(n)
+        atoms = [{"freq": float(f), "re": float(w), "im": 0.0}
+                 for f, w in zip(rng.random(n), rng.uniform(0.5, 1.5, n))]
+        specs.append(write_json(tmp_path / f"spec{n}.json", {"atoms": atoms}))
+    runs = [(specs[0], "gaussian"), (specs[1], "random-phase"), (specs[0], "random-phase")]
+
+    def argv(i, where):
+        spec, model = runs[i]
+        return ["gauss-sim", "--spectrum", spec, "--len", "20000", "--seed", "5", "--model", model,
+                "--report", "moments,spectral,gaussianity,increments", "--out", str(tmp_path / where / str(i))]
+
+    for i in range(len(runs)):
+        assert main(argv(i, "one-process")) == 0
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(helson_lab.__file__))}
+    for i in range(len(runs)):
+        done = subprocess.run([sys.executable, "-m", "helson_lab.cli", *argv(i, "own-process")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        one, own = (tmp_path / where / str(i) / "gauss_sim.json" for where in ("one-process", "own-process"))
+        assert one.read_bytes() == own.read_bytes()
 
 
 def _run_bounded(fn):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,6 +142,64 @@ def test_atom_chunking_matches_one_block(monkeypatch):
     chunked = torus._synthesize(torus._block_phasors(lam, T_len), amps, T_len)
     assert np.max(np.abs(chunked - seq)) <= 1e-12 * np.max(np.abs(seq))
     assert np.max(np.abs(torus._amplitudes_at(seq, lam) - ana)) <= 1e-12 * np.max(np.abs(ana))
+
+
+# -- one phasor table per run ----------------------------------------------
+
+def _spectrum(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    return AtomicCircleMeasure.from_pairs(zip(rng.random(n_atoms), rng.uniform(0.5, 1.5, n_atoms)))
+
+
+@st.composite
+def _sharing_case(draw):
+    """(spectrum, model class, T_len, thresholds, _CHUNK_ELEMS): one-block and long runs, uneven and empty windows."""
+    spectrum = _spectrum(draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 64)))
+    cls = draw(st.sampled_from([G.GaussianModel, G.RandomPhaseModel]))
+    B = draw(st.integers(2, 60))
+    T_len = draw(st.sampled_from([1, 2, 3, B * B - 1, B * B + 1, 200_000]))
+    thresholds = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True)))
+    # 1 puts every atom in a chunk of its own: no table, each sum builds its own
+    chunk_elems = draw(st.sampled_from([torus._CHUNK_ELEMS, 1]))
+    return spectrum, cls, T_len, thresholds, chunk_elems
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sharing_case())
+@example((_spectrum(0, 64), G.GaussianModel, 200_000, [0.0, 0.3, 0.31, 1.0], torus._CHUNK_ELEMS))
+@example((_spectrum(1, 64), G.RandomPhaseModel, 200_000, [0.0, 0.5, 1.0], 1))
+def test_shared_tables_match_fresh_builds(case):
+    spectrum, cls, T_len, thresholds, chunk_elems = case
+    with mock.patch.object(torus, "_CHUNK_ELEMS", chunk_elems):
+        model = cls(spectrum=spectrum, T_len=T_len, seed=3)
+        lam, w = G._validated_spectrum(spectrum)
+        amps = np.sqrt(w) * model.unit_amplitudes(lam.size)
+
+        def fresh(m):
+            return torus._synthesize(torus._block_phasors(lam[m], T_len), amps[m], T_len)
+
+        seq = G.simulate(model)
+        table = model._atoms[2]
+        assert (table is None) == (chunk_elems == 1 and lam.size > 1)
+        assert np.array_equal(seq, fresh(slice(None)))
+        windows = G.spectral_process(model, thresholds)
+        for a, b, got in zip(thresholds, thresholds[1:], windows):
+            m = (lam >= a) & (lam < b)
+            assert np.array_equal(got, fresh(m) if m.any() else np.zeros(T_len, dtype=complex))
+        assert np.array_equal(torus._amplitudes_at(seq, lam, table), torus._amplitudes_at(seq, lam))
+        shared = G.gaussianity_test(seq, 3, freqs=list(lam), model=model).to_json_dict()
+        assert json.dumps(shared) == json.dumps(G.gaussianity_test(seq, 3, freqs=list(lam)).to_json_dict())
+
+
+def test_gaussianity_reads_the_table_only_where_it_fits():
+    model = G.GaussianModel(spectrum=_spectrum(2, 5), T_len=1_000, seed=1)
+    seq = G.simulate(model)
+    lam = list(model._atoms[0])
+    with mock.patch.object(G, "_amplitudes_at", wraps=G._amplitudes_at) as spy:
+        G.gaussianity_test(seq, 2, freqs=lam, model=model)
+        G.gaussianity_test(seq[:999], 2, freqs=lam, model=model)
+        G.gaussianity_test(seq, 2, freqs=lam[:4], model=model)
+    assert [c.args[2] is model._atoms[2] for c in spy.call_args_list] == [True, False, False]
 
 
 def test_simulate_deterministic_in_seed():
@@ -323,6 +383,55 @@ def test_increment_dependence_matches_complex_fft_oracle(T, seed):
     assert abs(rep.stat_cross - stat) <= 1e-12
     assert abs(rep.null_q99 - q99) <= 1e-12
     assert abs(rep.orthogonality_z - z_o) <= 1e-10 * max(1.0, z_o)
+
+
+def _block_se(block_means):
+    """One mean's standard error from its block means: the per-lag call _block_ses groups; kept as its oracle."""
+    B = block_means.size
+    return float(np.std(block_means, ddof=1) / math.sqrt(B)) if B >= 2 else 0.0
+
+
+@pytest.mark.parametrize("T", [1, 2, 33, 41, 200_000])
+def test_grouped_block_ses_match_per_lag(T):
+    # lags with T - g < 32 terms have fewer blocks, so the families mix sizes
+    seq = _complex_noise(T, T)
+    _, lag_means, _ = G._lag_sums(seq, seq, min(T // 10, 50), np.zeros(0, dtype=int))
+    rng = np.random.default_rng(T)
+    sizes = np.minimum(G._BATCHES, T - np.arange(T // 10 + 1))
+    drawn = [rng.standard_normal(B) * 10.0 ** rng.integers(-3, 4) + 1j * rng.standard_normal(B) for B in sizes]
+    for means in (lag_means, drawn):
+        for part in (np.real, np.imag):
+            rows = [part(bm) for bm in means]
+            assert G._block_ses(rows) == [_block_se(r) for r in rows]
+
+
+def _moment_oracle(seq, P):
+    """moment_report's standard errors and log-convexity count, one np.std per p and per second difference."""
+    a = np.abs(seq)
+    T = a.size
+    B = min(32, T)
+    ses, log_mp, batch_log = [], [], []
+    for p in range(2, P + 1, 2):
+        mp = float(np.mean(a ** p))
+        norm = mp ** (1.0 / p)
+        ses.append(_batch_se_oracle(a ** p) * norm / (p * mp) if mp > 0 else 0.0)
+        log_mp.append(math.log(max(mp, 1e-300)))
+        batch_log.append(np.log(np.maximum((a ** p)[:(T // B) * B].reshape(B, -1).mean(axis=1), 1e-300)))
+    violations = 0
+    for i in range(1, len(ses) - 1):
+        d2 = log_mp[i - 1] - 2.0 * log_mp[i] + log_mp[i + 1]
+        tol = 3.0 * _block_se(batch_log[i - 1] - 2.0 * batch_log[i] + batch_log[i + 1])
+        violations += d2 < -(tol + 1e-9)
+    return tuple(ses), violations
+
+
+@pytest.mark.parametrize("T, P", [(1, 16), (2, 8), (33, 16), (41, 4), (200_000, 16)])
+def test_moment_errors_match_per_p_oracle(T, P):
+    seq = _complex_noise(T + 1, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-T stability warning
+        rep = G.moment_report(seq, P)
+    assert (rep.lp_std_errs, rep.logconvex_violations) == _moment_oracle(seq, P)
 
 
 # -- threshold family and increments ----------------------------------------
@@ -509,8 +618,38 @@ def test_batched_random_phase_moment_matches_scalar_loop(k):
     W = rng.random(40) / 40
     rows = W[rng.integers(0, W.size, size=(50, W.size))]
     ref = np.array([_random_phase_moment_scalar(k, r) for r in rows])
-    got = G._random_phase_moment(k, rows)
+    got = G._random_phase_moments(k, rows)[:, k]
     assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def _random_phase_moment_per_k(k, W):
+    """The product truncated at k, one k per call, that _random_phase_moments folded; kept as its oracle."""
+    fact_sq = np.array([math.factorial(a) ** 2 for a in range(k + 1)], dtype=float)
+    gen = W[:, :, None] ** np.arange(k + 1) / fact_sq
+    poly = np.zeros((W.shape[0], k + 1))
+    poly[:, 0] = 1.0
+    for j in range(W.shape[1]):
+        nxt = poly.copy()
+        for a in range(1, k + 1):
+            nxt[:, a:] += poly[:, : k + 1 - a] * gen[:, j, a, None]
+        poly = nxt
+    return math.factorial(k) ** 2 * poly[:, k]
+
+
+_W = np.random.default_rng(6).random(40) / 40
+_W_ZEROS = np.where(np.arange(40) % 3 == 0, 0.0, _W)
+
+
+@pytest.mark.parametrize("W", [
+    _W[np.random.default_rng(7).integers(0, 40, size=(50, 40))],
+    _W_ZEROS[np.random.default_rng(8).integers(0, 40, size=(50, 40))],
+    np.array([[0.7], [0.0], [1.3]]),  # one atom
+], ids=["random", "zeros", "one-atom"])
+def test_folded_bootstrap_product_matches_per_k(W):
+    for k_max in range(1, 7):
+        got = G._random_phase_moments(k_max, W)
+        for k in range(1, k_max + 1):
+            assert np.array_equal(got[:, k], _random_phase_moment_per_k(k, W))
 
 
 def test_bootstrap_matches_per_resample_loop(xg_200k):
