@@ -273,10 +273,11 @@ def _cmd_gauss_sim(args) -> int:
     freqs = [float(l) for l in np.sort(spectrum.frequencies())]
 
     def increments() -> dict:
-        # split the atoms at the median frequency into two disjoint windows
+        # split the atoms at the median frequency into two disjoint windows,
+        # passed inline: the test holds their only reference and frees them before its FFTs
         mid = freqs[len(freqs) // 2]
-        windows = G.spectral_process(model, [freqs[0], mid + 1e-12, 1.0])
-        return G.increment_dependence_test(windows, 0, 1, seed=args.seed).to_json_dict()
+        ts = [freqs[0], mid + 1e-12, 1.0]
+        return G.increment_dependence_test(G.spectral_process(model, ts), 0, 1, seed=args.seed).to_json_dict()
 
     # the sections only read seq, model and freqs, so they may run concurrently
     sections = {

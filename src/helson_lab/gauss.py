@@ -46,6 +46,7 @@ _GEMM_DEPTH = 64  # longest reduction of one _hankel_dots product
 _SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
 _GAUSS_BOOT = 400  # atom-power resamples behind gaussianity_test's realization se
 _INCREMENT_BOOT = 1000  # circular-shift surrogates behind increment_dependence_test
+_SLICE = 1 << 16  # samples per slice of gaussianity_test's in-place influence update
 
 
 # ---------------------------------------------------------------------------
@@ -328,46 +329,51 @@ def increment_dependence_test(
     The flatness entries (time variance of |increment|^2 over its squared
     mean) are reported, not judged: an equal-weight window is pinned at the
     deterministic-modulus ceiling for random phases while Gaussian draws
-    scatter it below.
+    scatter it below.  The windows are only read, and the test drops its
+    references to them before the FFT pass: a caller that passes
+    spectral_process's result inline has them freed there.
     """
     if window_a == window_b:
         raise OutOfRange("windows must differ")
     da = increments[window_a]
     db = increments[window_b]
-    A = np.abs(da) ** 2
-    B = np.abs(db) ** 2
-    A0 = A - A.mean()
-    B0 = B - B.mean()
-    sa = float(np.sqrt(np.mean(A0 ** 2)))
-    sb = float(np.sqrt(np.mean(B0 ** 2)))
-    scale = sa * sb
+    (ortho_sum,), (bm,), _ = _lag_sums(da, db, 0, np.zeros(0, dtype=int))
+    A = np.abs(da)
+    B = np.abs(db)
+    np.square(A, out=A)
+    np.square(B, out=B)
+    del increments, da, db
     T = A.size
+    ma, mb = float(A.mean()), float(B.mean())
+    A -= ma  # centred in place; mean(A ** 2) is then np.var of |w_a|^2 bit for bit
+    B -= mb
+    va, vb = float(np.mean(A ** 2)), float(np.mean(B ** 2))
+    scale = math.sqrt(va) * math.sqrt(vb)
     if scale < 1e-300:
         stat = 0.0
         q99 = 0.0
     else:
-        stat = float(np.mean(A0 * B0) / scale)
+        stat = float(np.mean(A * B) / scale)
         # all circular shifts at once via FFT cross-correlation
-        cross = np.fft.irfft(np.fft.rfft(A0) * np.conj(np.fft.rfft(B0)), n=T) / T
+        spec, spec_b = np.fft.rfft(A), np.fft.rfft(B)
+        del A, B
+        spec *= np.conj(spec_b, out=spec_b)
+        del spec_b
+        cross = np.fft.irfft(spec, n=T)
+        cross /= T
         rng = np.random.default_rng(seed)
         shifts = rng.integers(1, T, size=_INCREMENT_BOOT)
         q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
-    (ortho_sum,), (bm,), _ = _lag_sums(da, db, 0, np.zeros(0, dtype=int))
     ortho = ortho_sum / T
     sr, si = _block_ses([bm.real, bm.imag])
     se_o = math.sqrt(sr ** 2 + si ** 2)
     z_o = float(abs(ortho) / se_o) if se_o > 0 else 0.0
-
-    def flat(x: np.ndarray) -> float:
-        m = float(np.mean(x))
-        return float(np.var(x) / (m * m)) if m > 0 else 0.0
-
     return IncrementDependenceReport(
         stat_cross=stat,
         null_q99=q99,
         dependent=bool(abs(stat) > q99),
         orthogonality_z=z_o,
-        flatness=(flat(A), flat(B)),
+        flatness=(va / (ma * ma) if ma > 0 else 0.0, vb / (mb * mb) if mb > 0 else 0.0),
         n_boot=_INCREMENT_BOOT,
     )
 
@@ -422,6 +428,7 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
         ap = a ** p
         mps.append(float(np.mean(ap)))
         bms.append(ap[:edge].reshape(B, -1).mean(axis=1))
+        del ap
     norms = [mp ** (1.0 / p) for p, mp in zip(ps, mps)]
     # delta method: d norm / d mp = norm / (p mp)
     ses = [se * n / (p * mp) if mp > 0 else 0.0 for se, n, p, mp in zip(_block_ses(bms), norms, ps, mps)]
@@ -516,7 +523,8 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=
     if len(freqs) == 0:
         raise OutOfRange("freqs must hold at least one atom frequency")
     seq = np.asarray(seq)
-    a2 = np.abs(seq) ** 2
+    a2 = np.abs(seq)
+    np.square(a2, out=a2)
     m2 = float(np.mean(a2))
     lams = np.array([float(l) % 1.0 for l in freqs])
     shared = model is not None and model.T_len == seq.size and np.array_equal(model._atoms[0], lams)
@@ -537,9 +545,12 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=
         m2k = float(np.mean(psi))
         dev = m2k - math.factorial(k) * m2 ** k
         # influence function of m_{2k} - k! m_2^k under time averaging, made
-        # in place from a2^k so no third length-T array is alive
-        psi -= math.factorial(k) * k * m2 ** (k - 1) * a2
+        # in place from a2^k in slices, so no third length-T array is alive
+        c = math.factorial(k) * k * m2 ** (k - 1)
+        for lo in range(0, a2.size, _SLICE):
+            psi[lo:lo + _SLICE] -= c * a2[lo:lo + _SLICE]
         st = _batch_se(psi)
+        del psi
         boots = moments[:, k] - math.factorial(k) * W_boot_sum ** k
         sr = float(np.std(boots, ddof=1))
         se = math.sqrt(st ** 2 + sr ** 2)

@@ -414,8 +414,9 @@ def _amplitudes_at(seq: np.ndarray, lams: np.ndarray, table=None) -> np.ndarray:
     """(1/T) sum_n seq_n e^{-2 pi i n lam} per lam, _synthesize's adjoint; table is _phasor_table(lams, T)."""
     T = seq.size
     B, n_blocks = _block_grid(T)
-    rows = np.zeros(n_blocks * B, dtype=complex)
-    rows[:T] = seq
+    rows = np.ascontiguousarray(seq, dtype=complex)
+    if n_blocks * B > T:  # a ragged grid reads a zero-padded copy, an exact one a view of seq
+        rows = np.concatenate([rows, np.zeros(n_blocks * B - T, dtype=complex)])
     rows = rows.reshape(n_blocks, B)
     out = np.empty(lams.size, dtype=complex)
     for sl, base, blocks in table or _block_phasors(lams, T):

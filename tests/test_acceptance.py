@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
+import numpy as np
 import pytest
 
 from helson_lab import acceptance as A
@@ -88,6 +90,23 @@ def test_criterion_8_moment_machinery(acceptance):
     assert _line(
         8, payload, f"norm4={c['norm4']:.4f} beta={c['growth_fit']:.3f} lc={c['logconvex_violations']}"
     )
+
+
+def test_criterion_8_draw_matches_the_complex_expression(monkeypatch):
+    # Z is filled in place, part by part; it must equal (re + 1j im) / sqrt(2) bit for bit
+    class Drawn(Exception):
+        pass
+
+    def stop(Z, P):
+        raise Drawn(Z.copy())
+
+    monkeypatch.setattr(A.G, "moment_report", stop)
+    with pytest.raises(Drawn) as drawn:
+        A.check_moment_machinery()
+    rng = np.random.default_rng(A._MOMENT_SEED)
+    n = 10 ** 6
+    ref = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    assert drawn.value.args[0].tobytes() == ref.tobytes()
 
 
 def test_criterion_9_helson_sanity(acceptance):

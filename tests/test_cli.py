@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,24 @@ def test_gauss_sim_tables_do_not_outlive_their_run(tmp_path):
         assert done.returncode == 0, done.stderr
         one, own = (tmp_path / where / str(i) / "gauss_sim.json" for where in ("one-process", "own-process"))
         assert one.read_bytes() == own.read_bytes()
+
+
+def test_gauss_sim_increments_section_frees_its_windows(tmp_path):
+    # the section passes spectral_process's windows straight into the test,
+    # which drops them before its FFT pass; held to the end they add 2 x 16 T bytes
+    rng = np.random.default_rng(11)
+    atoms = [{"freq": float(f), "re": float(w), "im": 0.0} for f, w in zip(rng.random(64), rng.uniform(0.5, 1.5, 64))]
+    T = 200_000
+    argv = ["gauss-sim", "--spectrum", write_json(tmp_path / "spec.json", {"atoms": atoms}), "--len", str(T),
+            "--seed", "3", "--report", "increments", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * T * 16  # the sequence and the section's work arrays; 6.8 x 16 T with the windows held
 
 
 def _run_bounded(fn):

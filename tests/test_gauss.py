@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -695,3 +696,144 @@ def test_reports_serialize():
     assert d["p_grid"] == [2, 4, 6]
     pts = G.estimate_spectral(x, 1)
     assert {"g", "re", "im", "std_err"} == set(pts[0].to_json_dict())
+
+
+# -- length-T work arrays -----------------------------------------------------
+# the diagnostics as they ran before each freed its work arrays early: every
+# power and centred copy alive beside the next, and a zero-padded copy of the
+# sequence on every block grid; kept only as oracles
+
+def _increment_dependence_all_live(increments, window_a, window_b, seed):
+    da = increments[window_a]
+    db = increments[window_b]
+    A = np.abs(da) ** 2
+    B = np.abs(db) ** 2
+    A0 = A - A.mean()
+    B0 = B - B.mean()
+    scale = float(np.sqrt(np.mean(A0 ** 2))) * float(np.sqrt(np.mean(B0 ** 2)))
+    T = A.size
+    stat = q99 = 0.0
+    if scale >= 1e-300:
+        stat = float(np.mean(A0 * B0) / scale)
+        cross = np.fft.irfft(np.fft.rfft(A0) * np.conj(np.fft.rfft(B0)), n=T) / T
+        shifts = np.random.default_rng(seed).integers(1, T, size=1000)
+        q99 = float(np.quantile(np.abs(cross[shifts]) / scale, 0.99))
+    (ortho_sum,), (bm,), _ = G._lag_sums(da, db, 0, np.zeros(0, dtype=int))
+    sr, si = G._block_ses([bm.real, bm.imag])
+    se_o = math.sqrt(sr ** 2 + si ** 2)
+
+    def flat(x):
+        m = float(np.mean(x))
+        return float(np.var(x) / (m * m)) if m > 0 else 0.0
+
+    return G.IncrementDependenceReport(
+        stat_cross=stat, null_q99=q99, dependent=bool(abs(stat) > q99),
+        orthogonality_z=float(abs(ortho_sum / T) / se_o) if se_o > 0 else 0.0,
+        flatness=(flat(A), flat(B)), n_boot=1000,
+    )
+
+
+def _gaussianity_power_loop(seq, k_max):
+    """gaussianity_test's deviations and time standard errors, psi updated in one full-length step."""
+    a2 = np.abs(seq) ** 2
+    m2 = float(np.mean(a2))
+    devs, se_t = [], []
+    for k in range(1, k_max + 1):
+        psi = a2 ** k
+        devs.append(float(np.mean(psi)) - math.factorial(k) * m2 ** k)
+        psi -= math.factorial(k) * k * m2 ** (k - 1) * a2
+        se_t.append(G._batch_se(psi))
+    return tuple(devs), tuple(se_t)
+
+
+def _moment_norms_power_loop(seq, P):
+    a = np.abs(seq)
+    norms = []
+    for p in range(2, P + 1, 2):
+        ap = a ** p
+        norms.append(float(np.mean(ap)) ** (1.0 / p))
+    return tuple(norms)
+
+
+def _amplitudes_padded(seq, lams, table=None):
+    T = seq.size
+    B, n_blocks = torus._block_grid(T)
+    rows = np.zeros(n_blocks * B, dtype=complex)
+    rows[:T] = seq
+    rows = rows.reshape(n_blocks, B)
+    out = np.empty(lams.size, dtype=complex)
+    for sl, base, blocks in table or torus._block_phasors(lams, T):
+        out[sl] = np.sum((rows @ base.conj()) * blocks.conj(), axis=0) / T
+    return out
+
+
+@st.composite
+def _work_case(draw):
+    """(model, thresholds): both models, exact (T = B^2) and ragged block grids, empty windows."""
+    spectrum = _spectrum(draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 64)))
+    cls = draw(st.sampled_from([G.GaussianModel, G.RandomPhaseModel]))
+    B = draw(st.integers(2, 60))
+    T_len = draw(st.sampled_from([1, 2, 3, B * B - 1, B * B, B * B + 1, 200_000]))
+    t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return cls(spectrum=spectrum, T_len=T_len, seed=draw(st.integers(0, 2 ** 32 - 1))), [0.0, t, 1.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_work_case())
+@example((G.GaussianModel(spectrum=_spectrum(0, 64), T_len=200_000, seed=3), [0.0, 0.5, 1.0]))
+@example((G.RandomPhaseModel(spectrum=_spectrum(1, 64), T_len=448 ** 2, seed=4), [0.0, 0.3, 1.0]))
+def test_freed_work_arrays_match_the_all_live_oracles(case):
+    model, thresholds = case
+    T = model.T_len
+    seq = G.simulate(model)
+    lam, _, table = model._atoms
+    # drawn windows, then constant ones: |w|^2 has no variance (the scale < 1e-300 branch) or no mean
+    for windows in (G.spectral_process(model, thresholds), (np.full(T, 1.0 + 1.0j), np.zeros(T, dtype=complex))):
+        kept = [w.copy() for w in windows]
+        got = G.increment_dependence_test(windows, 0, 1, seed=model.seed)
+        assert repr(got) == repr(_increment_dependence_all_live(kept, 0, 1, model.seed))
+        # the caller's windows are read, never written
+        assert all(w.tobytes() == k.tobytes() for w, k in zip(windows, kept))
+        for w in windows:
+            A = np.abs(w) ** 2
+            assert np.var(A) == np.mean((A - A.mean()) ** 2)
+    assert torus._amplitudes_at(seq, lam, table).tobytes() == _amplitudes_padded(seq, lam, table).tobytes()
+    assert torus._amplitudes_at(seq, lam).tobytes() == _amplitudes_padded(seq, lam).tobytes()
+    rep = G.gaussianity_test(seq, 3, freqs=list(lam), model=model)
+    assert repr((rep.deviations, rep.se_time)) == repr(_gaussianity_power_loop(seq, 3))
+    with mock.patch.object(G, "_amplitudes_at", _amplitudes_padded):
+        assert repr(rep) == repr(G.gaussianity_test(seq, 3, freqs=list(lam), model=model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-T stability warning
+        mom = G.moment_report(seq, 16)
+    assert repr(mom.lp_norms) == repr(_moment_norms_power_loop(seq, 16))
+    assert (mom.lp_std_errs, mom.logconvex_violations) == _moment_oracle(seq, 16)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn() runs, above what was held when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_increment_windows_are_freed_before_the_fft_pass():
+    T = 200_000
+    model = G.GaussianModel(spectrum=_spectrum(11, 64), T_len=T, seed=3)
+    lam = model._atoms[0]  # builds the phasor table before tracing
+    ts = [lam[0], lam[32] + 1e-12, 1.0]
+    # passed inline as gauss-sim passes them, so the test holds the windows' only reference
+    peak = _traced_peak(lambda: G.increment_dependence_test(G.spectral_process(model, ts), 0, 1, seed=3))
+    assert peak <= 4 * T * 16  # 5.5 complex length-T arrays when both windows live to the end
+
+
+def test_gaussianity_holds_two_work_arrays_beyond_its_input():
+    T = 10 ** 6  # an exact block grid, 1000 x 1000: the amplitudes read a view of seq
+    model = G.GaussianModel(spectrum=_spectrum(11, 64), T_len=T, seed=3)
+    seq = G.simulate(model)
+    peak = _traced_peak(lambda: G.gaussianity_test(seq, 3, freqs=list(model._atoms[0]), model=model))
+    assert peak <= 2.5 * T * 8  # 3.1 real length-T arrays with a padded copy and full-length temporaries
