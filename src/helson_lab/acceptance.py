@@ -60,14 +60,14 @@ _DEGREE = 24
 _LAM8 = sorted((k * GOLDEN) % 1.0 for k in range(1, 9))
 _GAUSS_MODEL_SEED = 13  # pinned: both z-margin and 4-se coverage hold
 _MOMENT_SEED = 7
-# Longest first by seconds on one worker at seed 7 (9: 0.46, 7: 0.21, 6: 0.15,
-# 5: 0.10, 2: 0.09, 8: 0.08, 4: 0.04, 1: 0.04, 3: 0.003), except that 8 and 2
-# follow 7 at once.  Those three each allocate tens of MB; queued back to back
-# they run on one thread while 9 holds the other, so they reuse one malloc
-# arena.  Spread over two threads (plain longest first) they took verify-all's
-# peak RSS from ~136 to ~138 MB with OpenBLAS on one thread, and from ~134 to
-# ~158 MB when OpenBLAS ran a thread per CPU.
-_SUBMIT_ORDER = ("9", "7", "8", "2", "6", "5", "4", "1", "3")
+# The pool's tasks, longest first by seconds on one worker at seed 7: the lane
+# of 2, 7 and 8 (0.12-0.17 + 0.19-0.28 + 0.07-0.10), then 6 (0.19-0.24),
+# 5 (0.13-0.15), 9 (0.10-0.15), 4 (0.05-0.07), 1 (0.04-0.06) and 3 (0.01).
+# Criteria 2, 7 and 8 allocate tens of MB each (traced peaks 15, 31 and 30 MB),
+# so they run in turn in one lane: once criterion 9 no longer held the other
+# thread for most of the run, letting them overlap took verify-all's peak RSS
+# from ~122 to 137-139 MB.  Each lane lists its criteria in ascending order.
+_LANES = (("2", "7", "8"), ("6",), ("5",), ("9",), ("4",), ("1",), ("3",))
 
 
 def check_mela_bound() -> dict:
@@ -322,20 +322,28 @@ def check_helson_sanity(seed: int) -> dict:
     }
 
 
-def _timed(fn: Callable[[], dict]) -> Tuple[dict, float]:
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0
+def _run_lane(steps: Dict[str, Callable[[], dict]], keys: Tuple[str, ...]) -> dict:
+    """{key: (result, seconds) or the exception raised} for one lane's checks, run in turn until one raises."""
+    out = {}
+    for key in keys:
+        t0 = time.perf_counter()
+        try:
+            out[key] = steps[key](), time.perf_counter() - t0
+        except Exception as exc:
+            out[key] = exc
+            break
+    return out
 
 
 def run_acceptance(seed: int = 7) -> Tuple[Dict, Dict[str, float]]:
-    """All checks by run_tasks; returns (deterministic results, wall-clock seconds).
+    """All checks by run_tasks, one task per lane; returns (deterministic results, wall-clock seconds).
 
-    The checks share no state, so they may run in any order and overlap;
-    both dicts are keyed by criterion number, and the runtimes of
-    overlapping checks do not sum to the total.  Checks go in about
-    longest first (`_SUBMIT_ORDER`), so the short ones fill in behind the
-    long ones.  The first failing check in criterion order re-raises here.
+    The checks share no state, so they may run in any order and overlap,
+    except that the checks of one lane (`_LANES`) never overlap; both dicts
+    are keyed by criterion number, and the runtimes of overlapping checks
+    do not sum to the total.  Lanes go in about longest first, so the short
+    ones fill in behind the long ones.  The first failing check in
+    criterion order re-raises here, once every lane has ended.
     """
     steps = {
         "1": check_mela_bound,
@@ -348,7 +356,11 @@ def run_acceptance(seed: int = 7) -> Tuple[Dict, Dict[str, float]]:
         "8": check_moment_machinery,
         "9": lambda: check_helson_sanity(seed),
     }
-    done = run_tasks({key: partial(_timed, fn) for key, fn in steps.items()}, _SUBMIT_ORDER)
+    lanes = run_tasks({lane: partial(_run_lane, steps, lane) for lane in _LANES}, _LANES)
+    done = {key: out for lane in lanes.values() for key, out in lane.items()}
+    for key in steps:  # a key a lane skipped follows a failed key of that lane
+        if isinstance(done[key], Exception):
+            raise done[key]
     results = {key: done[key][0] for key in steps}
     payload = {
         "seed": seed,

@@ -177,10 +177,8 @@ def _cmd_drury(args) -> int:
         tv = cert.tv
     d = mix_drury(args.n, sigma, args.epsilon)
     mc, se = l1_norm_monte_carlo(d, 8000, seed=args.seed)
-    basis_values = [
-        [list(e), d.psi.coeffs.get(e, 0j).real, d.psi.coeffs.get(e, 0j).imag]
-        for e in d.basis_points()
-    ]
+    basis = float(d._pruned_moments()[0])  # every basis point -e_j carries the stratum-0 moment
+    basis_values = [[list(e), basis, 0.0] for e in d.basis_points()]
     report = {
         "basis_values": basis_values,
         "max_off_basis": d.max_off_basis(),

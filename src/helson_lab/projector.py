@@ -11,9 +11,9 @@ The telescoping series uses eps_k = e^{-kp} exactly; sup differences of
 consecutive indicators are bounded by 2 eps_k on the constraint set by
 construction and re-checked numerically.
 
-helson_constant is a heuristic upper estimate: multi-start projected
-subgradient descent on the ell^1 sphere followed by coordinate polish; it
-reports the best witness found, never a certified constant.
+helson_constant is a heuristic upper estimate: polished multistart on the
+ell^1 sphere, each start improved by coordinate line searches; it reports
+the best witness found, never a certified constant.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import Infeasible, InfeasibleSeparation, OutOfRange
 from .linprog import LP_MAX_ENTRIES, ConstraintMatrix, dense_entries, lp_solve
 from .tasks import run_tasks
 from .torus import (
-    _CHUNK_ELEMS,
     AtomicCircleMeasure,
     FiniteFrequencySet,
     SparseTrigPoly,
@@ -84,32 +83,11 @@ class HelsonEstimate:
 
 
 def _normalize_l1(w: np.ndarray) -> np.ndarray:
-    """w / ||w||_1 along the last axis; a row of l1 norm below 1e-12 becomes uniform."""
-    s = np.sum(np.abs(w), axis=-1, keepdims=True)
-    flat = s < 1e-12
-    if flat.any():
-        w, s = np.where(flat, 1.0 + 0j, w), np.where(flat, float(w.shape[-1]), s)
+    """w / ||w||_1; weights of l1 norm below 1e-12 become uniform."""
+    s = np.sum(np.abs(w))
+    if s < 1e-12:
+        return np.full(w.size, 1.0 / w.size, dtype=complex)
     return w / s
-
-
-def _descend(mu_hat: Scan, lam: np.ndarray, g_range: int, W: np.ndarray) -> np.ndarray:
-    """500 projected subgradient steps (step 0.25/sqrt(iter)) on every row of W, in lockstep.
-
-    Each step scans the live rows as one stacked product; a row whose sup
-    falls below 1e-15 stops there, as a lone descent would.
-    """
-    live = np.arange(len(W))
-    for it in range(1, 501):
-        vals = mu_hat(W[live])
-        i = np.argmax(np.abs(vals), axis=1)
-        z = vals[np.arange(live.size), i]
-        moving = np.abs(z) >= 1e-15
-        live, i, z = live[moving], i[moving], z[moving]
-        if live.size == 0:
-            break
-        grad = (z / np.abs(z))[:, None] * np.exp(-2j * np.pi * (i - g_range)[:, None] * lam)
-        W[live] = _normalize_l1(W[live] - (0.25 / math.sqrt(it)) * grad)
-    return W
 
 
 def _affine_sup(rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -230,13 +208,11 @@ def helson_constant(
     """Heuristic upper estimate of the Helson constant over |g| <= g_range.
 
     Minimizes sup_g |mu_hat(g)| over complex weights with ||mu|| = 1 by
-    multi-start projected subgradient descent (500 iterations, step
-    0.25/sqrt(iter)) plus coordinate polish; returns the best value found and
-    its witness, with alpha_upper the full scan of |mu_hat| at the witness.
-    The restarts descend in lockstep (_descend), in groups of R with
-    R (2 g_range + 1) <= _CHUNK_ELEMS, then each is polished (_polish).
-    Upper-bounds the true constant restricted to this g window; not a
-    certificate.
+    polished multistart: each start (uniform, then random phases, then
+    complex normal draws) goes straight to the coordinate descent of
+    _polish; returns the best value found and its witness, with alpha_upper
+    the full scan of |mu_hat| at the witness.  Upper-bounds the true
+    constant restricted to this g window; not a certificate.
     Envelope: 1 <= |K| <= 8, 0 <= g_range <= 1e6, restarts >= 1; each scan
     of mu_hat costs O(g_range |K|), so the time grows linearly in g_range.
     """
@@ -254,7 +230,8 @@ def helson_constant(
         return float(np.max(np.abs(mu_hat(w))))
 
     rng = np.random.default_rng(seed)
-    starts = []
+    best_w: Optional[np.ndarray] = None
+    best_val = np.inf
     for r in range(restarts):
         if r == 0:
             w = np.ones(k, dtype=complex) / k
@@ -262,16 +239,10 @@ def helson_constant(
             w = np.exp(2j * np.pi * rng.random(k)) / k
         else:
             w = rng.normal(size=k) + 1j * rng.normal(size=k)
-        starts.append(_normalize_l1(w.astype(complex)))
-    group = max(1, _CHUNK_ELEMS // (2 * g_range + 1))
-    best_w: Optional[np.ndarray] = None
-    best_val = np.inf
-    for r0 in range(0, restarts, group):
-        for w in _descend(mu_hat, lam, g_range, np.array(starts[r0:r0 + group])):
-            w = _polish(mu_hat, w)
-            val = sup(w)
-            if val < best_val:
-                best_val, best_w = val, w.copy()
+        w = _polish(mu_hat, _normalize_l1(w.astype(complex)))
+        val = sup(w)
+        if val < best_val:
+            best_val, best_w = val, w
 
     best_w = _normalize_l1(best_w)
     mods = np.abs(mu_hat(best_w))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,25 +130,56 @@ def test_criterion_10_determinism(acceptance, two_workers):
 
 
 def test_failing_criterion_propagates_from_the_pool(monkeypatch, two_workers):
-    # criterion 9 is submitted first and fails at once, criterion 3 last;
-    # the failure raised is the first in criterion order, not the first to happen
+    # criterion 9 is submitted early and fails at once, criterion 3 last; 7
+    # fails in the lane it shares with 2 and 8.  The failure raised is the
+    # first in criterion order, not the first to happen
     def broken(name):
         def check(*args):
             raise RuntimeError(f"{name} broke")
         return check
 
-    monkeypatch.setattr(A, "check_helson_sanity", broken("criterion 9"))
     monkeypatch.setattr(A, "check_riesz_identities", broken("criterion 3"))
-    caught = []
+    for check, name in (("check_helson_sanity", "criterion 9"), ("check_gaussian_discrimination", "criterion 7")):
+        caught = []
 
-    def run():
-        try:
-            run_acceptance(7)
-        except RuntimeError as exc:
-            caught.append(exc)
+        def run():
+            try:
+                run_acceptance(7)
+            except RuntimeError as exc:
+                caught.append(exc)
 
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive(), "run_acceptance hung after a criterion raised"
-    assert [str(exc) for exc in caught] == ["criterion 3 broke"]
+        with monkeypatch.context() as mp:
+            mp.setattr(A, check, broken(name))
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        assert not worker.is_alive(), "run_acceptance hung after a criterion raised"
+        assert [str(exc) for exc in caught] == ["criterion 3 broke"], name
+
+
+_CHECKS = (
+    "check_mela_bound", "check_drury_pipeline", "check_riesz_identities", "check_riesz_oracle",
+    "check_projector_telescope", "check_a_norm_growth", "check_gaussian_discrimination",
+    "check_moment_machinery", "check_helson_sanity",
+)
+
+
+def test_memory_heavy_criteria_never_overlap(monkeypatch, two_workers):
+    # criteria 2, 7 and 8 allocate tens of MB each and run in turn, also when
+    # criterion 9 ends at once and frees its thread while another one runs
+    spans = {}
+
+    def stub(num, seconds):
+        def check(*args):
+            t0 = time.perf_counter()
+            time.sleep(seconds)
+            spans[num] = (t0, time.perf_counter())
+            return {"name": f"stub_{num}", "passed": True}
+        return check
+
+    for num, name in enumerate(_CHECKS, start=1):
+        monkeypatch.setattr(A, name, stub(num, 0.0 if num == 9 else 0.05))
+    payload, _ = run_acceptance(7)
+    assert payload["all_passed"] and sorted(spans) == list(range(1, 10))
+    heavy = sorted(spans[num] for num in (2, 7, 8))
+    assert all(end <= start for (_, end), (start, _) in zip(heavy, heavy[1:])), heavy

@@ -133,16 +133,6 @@ def test_affine_objectives_match_full_scans(freqs, g_range, seed, phi, frac):
         check(projector._mass_move(w, i, j), -abs(w[i]) + frac * (abs(w[i]) + abs(w[j])), mass_moved)
 
 
-def test_helson_restart_groups_do_not_change_the_result(monkeypatch):
-    # lockstep descent in one group of five against groups of one restart
-    K = FiniteFrequencySet((0.1, 0.37, 0.8))
-    together = helson_constant(K, g_range=100, restarts=5, seed=4)
-    monkeypatch.setattr(projector, "_CHUNK_ELEMS", 201)
-    alone = helson_constant(K, g_range=100, restarts=5, seed=4)
-    assert together.alpha_upper == alone.alpha_upper
-    assert np.array_equal(together.witness_measure.weights(), alone.witness_measure.weights())
-
-
 def test_helson_independent_pair_near_one():
     K = FiniteFrequencySet((math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0))
     est = helson_constant(K, g_range=10_000, restarts=3, seed=3)

@@ -272,8 +272,9 @@ def test_fourier_coeff_conjugate_symmetry():
 
 @pytest.mark.parametrize("g_range", [0, 1, 100, 10_000])
 def test_stacked_scan_rows_equal_one_row_scans(g_range):
-    # the Helson restarts scan in lockstep: every row of a stacked scan must
-    # be the lone scan of its weights bit for bit, at any stack height
+    # the Helson line search scans its weights and direction as one [w, d]
+    # stack: every row of a stacked scan must be the lone scan of its weights
+    # bit for bit, at any stack height
     rng = np.random.default_rng(g_range)
     for k in range(1, 9):
         scan = _mu_hat_scan(rng.random(k), g_range)
