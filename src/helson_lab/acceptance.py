@@ -61,12 +61,12 @@ _LAM8 = sorted((k * GOLDEN) % 1.0 for k in range(1, 9))
 _GAUSS_MODEL_SEED = 13  # pinned: both z-margin and 4-se coverage hold
 _MOMENT_SEED = 7
 # The pool's tasks, longest first by seconds on one worker at seed 7: the lane
-# of 2, 7 and 8 (0.12-0.17 + 0.19-0.28 + 0.07-0.10), then 6 (0.19-0.24),
+# of 2, 7 and 8 (0.12-0.17 + 0.18-0.27 + 0.05-0.07), then 6 (0.19-0.24),
 # 5 (0.13-0.15), 9 (0.10-0.15), 4 (0.05-0.07), 1 (0.04-0.06) and 3 (0.01).
-# Criteria 2, 7 and 8 allocate tens of MB each (traced peaks 15, 31 and 30 MB),
-# so they run in turn in one lane: once criterion 9 no longer held the other
-# thread for most of the run, letting them overlap took verify-all's peak RSS
-# from ~122 to 137-139 MB.  Each lane lists its criteria in ascending order.
+# Criteria 2, 7 and 8 allocate about 16 MB each (traced peaks 15, 16 and
+# 16 MB), so they run in turn in one lane: letting them overlap takes
+# verify-all's peak RSS from ~108 to ~122 MB.  Each lane lists its criteria
+# in ascending order.
 _LANES = (("2", "7", "8"), ("6",), ("5",), ("9",), ("4",), ("1",), ("3",))
 
 
@@ -277,9 +277,12 @@ def check_gaussian_discrimination() -> dict:
 def check_moment_machinery() -> dict:
     rng = np.random.default_rng(_MOMENT_SEED)
     n = 10 ** 6
-    Z = np.empty(n, dtype=complex)  # (re + 1j im) / sqrt(2) bit for bit, with no second complex array
-    Z.real = rng.standard_normal(n)
-    Z.imag = rng.standard_normal(n)
+    # (re + 1j im) / sqrt(2) bit for bit: the draws go in block by block, so
+    # no other length-n array is made
+    Z = np.empty(n, dtype=complex)
+    for part in (Z.real, Z.imag):
+        for block in G._batch_blocks(part):
+            block[...] = rng.standard_normal(block.size)
     Z /= math.sqrt(2.0)
     rep = G.moment_report(Z, 16)
     norm4 = rep.lp_norms[rep.p_grid.index(4)]

@@ -46,7 +46,6 @@ _GEMM_DEPTH = 64  # longest reduction of one _hankel_dots product
 _SE_ROUNDING = 1e-12  # an se below this share of k! m_2^k is rounding, not noise
 _GAUSS_BOOT = 400  # atom-power resamples behind gaussianity_test's realization se
 _INCREMENT_BOOT = 1000  # circular-shift surrogates behind increment_dependence_test
-_SLICE = 1 << 16  # samples per slice of gaussianity_test's in-place influence update
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +151,31 @@ def _block_ses(block_means: Sequence[np.ndarray]) -> List[float]:
     return out.tolist()
 
 
-def _batch_se(values: np.ndarray) -> float:
-    """Standard error of the mean by batch means over _BATCHES blocks."""
-    T = values.size
-    B = min(_BATCHES, T)
-    edge = (T // B) * B
-    return _block_ses([values[:edge].reshape(B, -1).mean(axis=1)])[0]
+def _batch_blocks(seq: np.ndarray) -> List[np.ndarray]:
+    """Views of the B = min(_BATCHES, T) batch blocks of T // B terms, then of the tail past the last."""
+    B = min(_BATCHES, seq.size)
+    L = seq.size // B
+    return [seq[b * L:(b + 1) * L] for b in range(B)] + [seq[B * L:]]
+
+
+def _power_block_sums(seq: np.ndarray, k_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Means of |X|^{2k} for k = 1..k_max, whole (k_max,) and per batch block (k_max, B).
+
+    One pass over the batch blocks and the tail: |X|^2 is taken per block
+    and its powers by repeated multiplication, and a whole mean is the sum
+    of the block sums and the tail's over T, so no length-T work array is
+    made.  The tail past the last whole block enters only the whole means.
+    """
+    blocks = _batch_blocks(seq)
+    sums = np.zeros((k_max, len(blocks)))
+    for b, x in enumerate(blocks):
+        a2 = np.abs(x)
+        np.square(a2, out=a2)
+        power = np.ones_like(a2)
+        for k in range(k_max):
+            power *= a2
+            sums[k, b] = power.sum()
+    return sums.sum(axis=1) / seq.size, sums[:, :-1] / blocks[0].size
 
 
 def _hankel_dots(xw: np.ndarray, yc: np.ndarray, d: int) -> np.ndarray:
@@ -192,9 +210,9 @@ def _lag_sums(
     """Sums of x_{n+g} conj(y_n) over n < T - g: whole and block means for g <= g_max, whole at probes.
 
     Returns the totals of the lags 0..g_max, the means of each one's terms
-    over the blocks of _batch_se (B = min(_BATCHES, T - g) blocks of
-    (T - g) // B terms; the tail past the last whole block enters only the
-    total), and the totals at the probe lags.  One pass over chunks of
+    over its batch blocks for _block_ses (B = min(_BATCHES, T - g) blocks
+    of (T - g) // B terms; the tail past the last whole block enters only
+    the total), and the totals at the probe lags.  One pass over chunks of
     _LAG_CHUNK samples serves every lag, so a chunk's data is read from
     cache: the lags 0..g_max go _LAG_GROUP at a time through _hankel_dots,
     cut at every block edge of the group, and each probe lag is one BLAS
@@ -406,7 +424,9 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
 
     Log-convexity of p -> log ||f||_p^p is checked by discrete second
     differences with a batch-bootstrap tolerance; monotonicity of the norms
-    is flagged the same way (3 standard errors), never asserted.
+    is flagged the same way (3 standard errors), never asserted.  The
+    moments and their batch means come from one _power_block_sums pass, so
+    the report holds no length-T work array beside its input.
     """
     if P < 2 or P > 32 or P % 2 != 0:
         raise OutOfRange(f"P must be even in 2..32, got {P}")
@@ -417,18 +437,9 @@ def moment_report(seq: np.ndarray, P: int) -> MomentReport:
             f"T={T} is below the 10^(P/4) heuristic for stable order-{P} moments",
             stacklevel=2,
         )
-    a = np.abs(seq)
     ps = list(range(2, P + 1, 2))
-    B = min(_BATCHES, T)
-    edge = (T // B) * B
-
-    mps: List[float] = []
-    bms: List[np.ndarray] = []
-    for p in ps:
-        ap = a ** p
-        mps.append(float(np.mean(ap)))
-        bms.append(ap[:edge].reshape(B, -1).mean(axis=1))
-        del ap
+    totals, bms = _power_block_sums(seq, P // 2)
+    mps = totals.tolist()
     norms = [mp ** (1.0 / p) for p, mp in zip(ps, mps)]
     # delta method: d norm / d mp = norm / (p mp)
     ses = [se * n / (p * mp) if mp > 0 else 0.0 for se, n, p, mp in zip(_block_ses(bms), norms, ps, mps)]
@@ -516,16 +527,18 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=
     k whose standard error is 0 and whose deviation is not gets z = None
     (JSON null).  Verdict: Gaussian-consistent iff every z is a number with
     |z| <= 3.  The amplitude reads use model's phasor table when seq has
-    its length and freqs are its sorted frequencies.
+    its length and freqs are its sorted frequencies.  The moments come
+    from one _power_block_sums pass and the influence block means from a
+    second pass over the batch blocks, so the test holds no length-T work
+    array beside its input.
     """
     if k_max < 1 or k_max > 6:
         raise OutOfRange(f"k_max must be in 1..6, got {k_max}")
     if len(freqs) == 0:
         raise OutOfRange("freqs must hold at least one atom frequency")
     seq = np.asarray(seq)
-    a2 = np.abs(seq)
-    np.square(a2, out=a2)
-    m2 = float(np.mean(a2))
+    totals, _ = _power_block_sums(seq, k_max)
+    m2 = float(totals[0])
     lams = np.array([float(l) % 1.0 for l in freqs])
     shared = model is not None and model.T_len == seq.size and np.array_equal(model._atoms[0], lams)
     W = np.abs(_amplitudes_at(seq, lams, model._atoms[2] if shared else None)) ** 2
@@ -540,17 +553,17 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=
     W_boot = W[idx]
     W_boot_sum = np.sum(W_boot, axis=1)
     moments = _random_phase_moments(k_max, W_boot)
-    for k in ks:
-        psi = a2 ** k
-        m2k = float(np.mean(psi))
+    # block means of the influence function of m_{2k} - k! m_2^k under time
+    # averaging, in a second pass: a one-pass difference of block sums would
+    # leave rounding where |X| is constant and the influence has no variance
+    cs = [math.factorial(k) * k * m2 ** (k - 1) for k in ks]
+    blocks = _batch_blocks(seq)[:-1]
+    influence = np.zeros((k_max, len(blocks)))
+    for b, x in enumerate(blocks):
+        a2 = np.abs(x) ** 2
+        influence[:, b] = [np.mean(a2 ** k - c * a2) for k, c in zip(ks, cs)]
+    for k, m2k, st in zip(ks, totals.tolist(), _block_ses(influence)):
         dev = m2k - math.factorial(k) * m2 ** k
-        # influence function of m_{2k} - k! m_2^k under time averaging, made
-        # in place from a2^k in slices, so no third length-T array is alive
-        c = math.factorial(k) * k * m2 ** (k - 1)
-        for lo in range(0, a2.size, _SLICE):
-            psi[lo:lo + _SLICE] -= c * a2[lo:lo + _SLICE]
-        st = _batch_se(psi)
-        del psi
         boots = moments[:, k] - math.factorial(k) * W_boot_sum ** k
         sr = float(np.std(boots, ddof=1))
         se = math.sqrt(st ** 2 + sr ** 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_criterion_8_moment_machinery(acceptance):
 
 
 def test_criterion_8_draw_matches_the_complex_expression(monkeypatch):
-    # Z is filled in place, part by part; it must equal (re + 1j im) / sqrt(2) bit for bit
+    # Z is filled in place, block by block; it must equal (re + 1j im) / sqrt(2) bit for bit
     class Drawn(Exception):
         pass
 
@@ -108,6 +109,19 @@ def test_criterion_8_draw_matches_the_complex_expression(monkeypatch):
     n = 10 ** 6
     ref = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     assert drawn.value.args[0].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("check", ["check_gaussian_discrimination", "check_moment_machinery"])
+def test_long_sequence_criteria_hold_their_sequence_and_block_arrays(check):
+    T = 10 ** 6  # the sequence is complex: 2 T * 8 bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert getattr(A, check)()["passed"]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * T * 8  # 4.0-4.1 real length-T arrays with full-length powers and draws
 
 
 def test_criterion_9_helson_sanity(acceptance):

@@ -406,18 +406,30 @@ def test_grouped_block_ses_match_per_lag(T):
             assert G._block_ses(rows) == [_block_se(r) for r in rows]
 
 
+def _full_length_powers(seq, k_max):
+    """(|x|^{2k}, its mean) for k = 1..k_max: full-length powers by repeated multiplication of |x|^2,
+    and each mean as the sum of its B block sums and its tail over T."""
+    a2 = np.abs(seq) ** 2
+    T = a2.size
+    B = min(32, T)
+    edge = (T // B) * B
+    power = np.ones_like(a2)
+    for _ in range(k_max):
+        power = power * a2
+        sums = np.append(power[:edge].reshape(B, -1).sum(axis=1), power[edge:].sum())
+        yield power, float(np.sum(sums) / T)
+
+
 def _moment_oracle(seq, P):
     """moment_report's standard errors and log-convexity count, one np.std per p and per second difference."""
-    a = np.abs(seq)
-    T = a.size
+    T = seq.size
     B = min(32, T)
     ses, log_mp, batch_log = [], [], []
-    for p in range(2, P + 1, 2):
-        mp = float(np.mean(a ** p))
+    for p, (ap, mp) in zip(range(2, P + 1, 2), _full_length_powers(seq, P // 2)):
         norm = mp ** (1.0 / p)
-        ses.append(_batch_se_oracle(a ** p) * norm / (p * mp) if mp > 0 else 0.0)
+        ses.append(_batch_se_oracle(ap) * norm / (p * mp) if mp > 0 else 0.0)
         log_mp.append(math.log(max(mp, 1e-300)))
-        batch_log.append(np.log(np.maximum((a ** p)[:(T // B) * B].reshape(B, -1).mean(axis=1), 1e-300)))
+        batch_log.append(np.log(np.maximum(ap[:(T // B) * B].reshape(B, -1).mean(axis=1), 1e-300)))
     violations = 0
     for i in range(1, len(ses) - 1):
         d2 = log_mp[i - 1] - 2.0 * log_mp[i] + log_mp[i + 1]
@@ -426,13 +438,42 @@ def _moment_oracle(seq, P):
     return tuple(ses), violations
 
 
-@pytest.mark.parametrize("T, P", [(1, 16), (2, 8), (33, 16), (41, 4), (200_000, 16)])
+# T = 31 has fewer samples than batch blocks; T = 1,000,003 a tail past the last block
+@pytest.mark.parametrize("T, P", [(1, 16), (2, 8), (31, 16), (33, 16), (41, 4), (200_000, 16), (1_000_003, 16)])
 def test_moment_errors_match_per_p_oracle(T, P):
     seq = _complex_noise(T + 1, T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the small-T stability warning
         rep = G.moment_report(seq, P)
     assert (rep.lp_std_errs, rep.logconvex_violations) == _moment_oracle(seq, P)
+
+
+def _full_array_means(seq, k_max):
+    """_power_block_sums' means as np.mean over full-length powers |x|^{2k}, the summation it replaced."""
+    a = np.abs(seq)
+    T = a.size
+    B = min(32, T)
+    powers = [a ** (2 * k) for k in range(1, k_max + 1)]
+    return (np.array([np.mean(ap) for ap in powers]),
+            np.array([ap[:(T // B) * B].reshape(B, -1).mean(axis=1) for ap in powers]))
+
+
+@pytest.mark.parametrize("T", [1, 2, 33, 41, 200_000])
+def test_block_sums_move_moments_only_at_rounding_level(T):
+    seq = _complex_noise(T + 1, T)
+    means, _ = G._power_block_sums(seq, 8)
+    full, _ = _full_array_means(seq, 8)
+    assert np.all(np.abs(means - full) <= 1e-13 * full)
+
+    def verdicts():
+        mom = G.moment_report(seq, 16)
+        return mom.logconvex_violations, mom.monotone_violations, G.gaussianity_test(seq, 3, [0.25]).gaussian_consistent
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-T stability warning
+        got = verdicts()
+        with mock.patch.object(G, "_power_block_sums", _full_array_means):
+            assert verdicts() == got
 
 
 # -- threshold family and increments ----------------------------------------
@@ -734,25 +775,20 @@ def _increment_dependence_all_live(increments, window_a, window_b, seed):
 
 
 def _gaussianity_power_loop(seq, k_max):
-    """gaussianity_test's deviations and time standard errors, psi updated in one full-length step."""
+    """gaussianity_test's deviations and time standard errors, psi made in one full-length step."""
     a2 = np.abs(seq) ** 2
-    m2 = float(np.mean(a2))
+    m2k = [mean for _, mean in _full_length_powers(seq, k_max)]
+    m2 = m2k[0]
     devs, se_t = [], []
     for k in range(1, k_max + 1):
-        psi = a2 ** k
-        devs.append(float(np.mean(psi)) - math.factorial(k) * m2 ** k)
-        psi -= math.factorial(k) * k * m2 ** (k - 1) * a2
-        se_t.append(G._batch_se(psi))
+        devs.append(m2k[k - 1] - math.factorial(k) * m2 ** k)
+        psi = a2 ** k - math.factorial(k) * k * m2 ** (k - 1) * a2
+        se_t.append(_batch_se_oracle(psi))
     return tuple(devs), tuple(se_t)
 
 
 def _moment_norms_power_loop(seq, P):
-    a = np.abs(seq)
-    norms = []
-    for p in range(2, P + 1, 2):
-        ap = a ** p
-        norms.append(float(np.mean(ap)) ** (1.0 / p))
-    return tuple(norms)
+    return tuple(mp ** (1.0 / p) for p, (_, mp) in zip(range(2, P + 1, 2), _full_length_powers(seq, P // 2)))
 
 
 def _amplitudes_padded(seq, lams, table=None):
@@ -831,9 +867,11 @@ def test_increment_windows_are_freed_before_the_fft_pass():
     assert peak <= 4 * T * 16  # 5.5 complex length-T arrays when both windows live to the end
 
 
-def test_gaussianity_holds_two_work_arrays_beyond_its_input():
+def test_moment_statistics_hold_no_length_t_work_array():
     T = 10 ** 6  # an exact block grid, 1000 x 1000: the amplitudes read a view of seq
     model = G.GaussianModel(spectrum=_spectrum(11, 64), T_len=T, seed=3)
     seq = G.simulate(model)
     peak = _traced_peak(lambda: G.gaussianity_test(seq, 3, freqs=list(model._atoms[0]), model=model))
-    assert peak <= 2.5 * T * 8  # 3.1 real length-T arrays with a padded copy and full-length temporaries
+    assert peak <= 0.5 * T * 8  # 2.1 real length-T arrays when the powers are full-length
+    peak = _traced_peak(lambda: G.moment_report(seq, 16))
+    assert peak <= 0.25 * T * 8  # 2.0 real length-T arrays when the powers are full-length
