@@ -60,14 +60,13 @@ _DEGREE = 24
 _LAM8 = sorted((k * GOLDEN) % 1.0 for k in range(1, 9))
 _GAUSS_MODEL_SEED = 13  # pinned: both z-margin and 4-se coverage hold
 _MOMENT_SEED = 7
-# The pool's tasks, longest first by seconds on one worker at seed 7: the lane
+# run_tasks' order, longest first by seconds on one worker at seed 7: the lane
 # of 2, 7 and 8 (0.12-0.17 + 0.18-0.27 + 0.05-0.07), then 6 (0.19-0.24),
 # 5 (0.13-0.15), 9 (0.10-0.15), 4 (0.05-0.07), 1 (0.04-0.06) and 3 (0.01).
 # Criteria 2, 7 and 8 allocate about 16 MB each (traced peaks 15, 16 and
 # 16 MB), so they run in turn in one lane: letting them overlap takes
-# verify-all's peak RSS from ~108 to ~122 MB.  Each lane lists its criteria
-# in ascending order.
-_LANES = (("2", "7", "8"), ("6",), ("5",), ("9",), ("4",), ("1",), ("3",))
+# verify-all's peak RSS from ~108 to ~122 MB.
+_LANES = (("2", "7", "8"), "6", "5", "9", "4", "1", "3")
 
 
 def check_mela_bound() -> dict:
@@ -184,7 +183,7 @@ def check_projector_telescope() -> dict:
     eigs = sorted(model.eigenvalue(m) for m, _ in model.modes)
     K = FiniteFrequencySet(tuple(eigs[i] for i in range(0, 32, 4)))
     F = [e for i, e in enumerate(eigs) if i % 4 != 0]
-    series = projector_series(K, F, 2.0, 3, _DEGREE)  # inline: the criteria run on the pool
+    series = projector_series(K, F, [2.0], 3, _DEGREE)[0]  # inline: the criteria run on the pool
     exact, kept = apply_projector(model, K, tol_match=1e-9)
     norm = model.l2_norm()
     samples = np.concatenate([K.values(), F])[:, None]
@@ -325,28 +324,20 @@ def check_helson_sanity(seed: int) -> dict:
     }
 
 
-def _run_lane(steps: Dict[str, Callable[[], dict]], keys: Tuple[str, ...]) -> dict:
-    """{key: (result, seconds) or the exception raised} for one lane's checks, run in turn until one raises."""
-    out = {}
-    for key in keys:
-        t0 = time.perf_counter()
-        try:
-            out[key] = steps[key](), time.perf_counter() - t0
-        except Exception as exc:
-            out[key] = exc
-            break
-    return out
+def _timed(check: Callable[[], dict]) -> Tuple[dict, float]:
+    t0 = time.perf_counter()
+    return check(), time.perf_counter() - t0
 
 
 def run_acceptance(seed: int = 7) -> Tuple[Dict, Dict[str, float]]:
-    """All checks by run_tasks, one task per lane; returns (deterministic results, wall-clock seconds).
+    """All checks by run_tasks, in the lanes `_LANES`; returns (deterministic results, wall-clock seconds).
 
     The checks share no state, so they may run in any order and overlap,
-    except that the checks of one lane (`_LANES`) never overlap; both dicts
-    are keyed by criterion number, and the runtimes of overlapping checks
-    do not sum to the total.  Lanes go in about longest first, so the short
-    ones fill in behind the long ones.  The first failing check in
-    criterion order re-raises here, once every lane has ended.
+    except that the checks of one lane never overlap; both dicts are keyed
+    by criterion number, and the runtimes of overlapping checks do not sum
+    to the total.  Lanes go in about longest first, so the short ones fill
+    in behind the long ones.  The first failing check in criterion order
+    raises here, and the checks after it that have not started are skipped.
     """
     steps = {
         "1": check_mela_bound,
@@ -359,18 +350,14 @@ def run_acceptance(seed: int = 7) -> Tuple[Dict, Dict[str, float]]:
         "8": check_moment_machinery,
         "9": lambda: check_helson_sanity(seed),
     }
-    lanes = run_tasks({lane: partial(_run_lane, steps, lane) for lane in _LANES}, _LANES)
-    done = {key: out for lane in lanes.values() for key, out in lane.items()}
-    for key in steps:  # a key a lane skipped follows a failed key of that lane
-        if isinstance(done[key], Exception):
-            raise done[key]
-    results = {key: done[key][0] for key in steps}
+    done = run_tasks({key: partial(_timed, check) for key, check in steps.items()}, _LANES)
+    results = {key: result for key, (result, _) in done.items()}
     payload = {
         "seed": seed,
         "all_passed": bool(all(r["passed"] for r in results.values())),
         "checks": results,
     }
-    return payload, {key: done[key][1] for key in steps}
+    return payload, {key: seconds for key, (_, seconds) in done.items()}
 
 
 def results_json(payload: dict) -> str:

@@ -29,7 +29,7 @@ from .acceptance import results_json, run_acceptance
 from .drury import mix_drury
 from .errors import ConfigParse, HelsonLabError, MomentCheckFailed
 from .mela import SignedGridMeasure, solve_mela
-from .projector import helson_constant, projector_series_by_p
+from .projector import helson_constant, projector_series
 from .riesz import (
     RieszProductSpec,
     convolution_power_profile,
@@ -216,7 +216,7 @@ def _cmd_projector(args) -> int:
     p_list = [float(tok) for tok in args.p.split(",") if tok.strip()]
     series_out = {}
     rows = []
-    for p, series in zip(p_list, projector_series_by_p(K, F, p_list, args.kterms, args.degree)):
+    for p, series in zip(p_list, projector_series(K, F, p_list, args.kterms, args.degree)):
         series_out[str(p)] = [ind.to_json_dict() for ind in series]
         for ind in series:
             rows.append([p, ind.epsilon, ind.a_norm, ind.lp_objective])

@@ -459,13 +459,6 @@ def approx_indicator(
 
 
 def projector_series(
-    K: FiniteFrequencySet, F_samples: Sequence[float], p: float, k_terms: int, degree: int
-) -> List[ApproxIndicator]:
-    """Indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms: projector_series_by_p at [p]."""
-    return projector_series_by_p(K, F_samples, [p], k_terms, degree)[0]
-
-
-def projector_series_by_p(
     K: FiniteFrequencySet, F_samples: Sequence[float], ps: Sequence[float], k_terms: int, degree: int
 ) -> List[List[ApproxIndicator]]:
     """For each p in ps, the indicators phi_{eps_k} for eps_k = e^{-kp}, k = 1..k_terms.
@@ -476,7 +469,7 @@ def projector_series_by_p(
     those take the most iterations, and shared (e^{-2*2} == e^{-1*4}).  Each
     stage in flight holds its own LP and HiGHS memory.  Each series comes
     back in eps order, its consecutive sup differences on K u F re-checked
-    against 2 eps_k.
+    against 2 eps_k.  One ladder is projector_series(K, F, [p], ...)[0].
     """
     ladders = []
     for p in ps:

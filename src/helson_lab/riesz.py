@@ -6,11 +6,12 @@ at most one representation sum eps_j n_j with eps_j in {-1,0,1}): the
 coefficient at a representable m is (alpha/2)^(number of nonzero eps),
 1 at m = 0, and 0 off the representable set.
 
-Dissociateness is certified exhaustively for N <= 20 by meet-in-the-middle
-over the difference coefficients {-2..2}: the 3^N signed sums are pairwise
-distinct iff each half's difference set hits 0 only trivially and the two
-difference sets meet only at 0.  For N > 20 the doubling criterion
-n_{j+1} > 2 sum_{i<=j} n_i is required instead.
+A spec holds N <= 12 frequencies, since its support has 3^N points; a
+longer list is refused before anything is computed.  Dissociateness is
+certified exhaustively by meet-in-the-middle over the difference
+coefficients {-2..2}: the 3^N signed sums are pairwise distinct iff each
+half's difference set hits 0 only trivially and the two difference sets
+meet only at 0.
 """
 
 from __future__ import annotations
@@ -33,27 +34,9 @@ def _signed_sums(freqs: Tuple[int, ...], coeffs: Tuple[int, ...]) -> np.ndarray:
     return sums
 
 
-def _doubling_ok(freqs: Tuple[int, ...]) -> bool:
-    total = 0
-    for n in freqs:
-        if n <= 2 * total:
-            return False
-        total += n
-    return True
-
-
 def _certify_dissociate(freqs: Tuple[int, ...]) -> None:
-    N = len(freqs)
-    if N == 0:
-        return
-    if N > 20:
-        if not _doubling_ok(freqs):
-            raise NotDissociate(
-                f"{N} frequencies exceed the exhaustive budget and fail the doubling criterion"
-            )
-        return
     diff_range = (-2, -1, 0, 1, 2)
-    half = N // 2
+    half = len(freqs) // 2
     left, right = freqs[:half], freqs[half:]
     d_left = _signed_sums(left, diff_range)
     d_right = _signed_sums(right, diff_range)
@@ -66,7 +49,7 @@ def _certify_dissociate(freqs: Tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class RieszProductSpec:
-    """Coupling alpha in (0,1] and strictly increasing dissociate frequencies."""
+    """Coupling alpha in (0,1] and at most 12 strictly increasing dissociate frequencies."""
 
     alpha: float
     freqs: Tuple[int, ...]
@@ -75,6 +58,8 @@ class RieszProductSpec:
         if not (0.0 < self.alpha <= 1.0):
             raise OutOfRange(f"alpha must lie in (0, 1], got {self.alpha}")
         freqs = tuple(int(n) for n in self.freqs)
+        if len(freqs) > 12:
+            raise OutOfRange(f"a Riesz product takes N <= 12 frequencies, got N = {len(freqs)}")
         prev = 0
         for n in freqs:
             if n <= prev:
@@ -94,13 +79,11 @@ class RieszProductSpec:
 
 @lru_cache(maxsize=16)
 def _mitm_tables(freqs: Tuple[int, ...]):
-    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)), for N <= 12.
+    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
 
     nnz counts the nonzero signs behind each sum.  The spec is dissociate, so
     each half's sums are distinct and their sorted order is unique.
     """
-    if len(freqs) > 12:
-        raise OutOfRange(f"support tables support N <= 12, got N = {len(freqs)}")
     half = len(freqs) // 2
     out = []
     for part in (freqs[:half], freqs[half:]):
@@ -133,7 +116,7 @@ def _support_in_range(spec: RieszProductSpec, m_range: int) -> Optional[Tuple[in
 
 
 def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> Tuple[float, int]:
-    """Max over 0 < |m| <= m_range of |sigma_hat(m)|^k and its location, for N <= 12.
+    """Max over 0 < |m| <= m_range of |sigma_hat(m)|^k and its location.
 
     Coefficients of the k-fold convolution are sigma_hat(m)^k, so the max
     sits at the smallest-level representable point; ties break to the
@@ -152,7 +135,7 @@ def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> T
 
 
 def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:
-    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range, for N <= 12.
+    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range.
 
     Finite truncations cap the ratio at alpha/2 (attained at g = n_j), so
     the diagnostic shows how truncation destroys rigidity: the returned
@@ -168,7 +151,7 @@ def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:
 
 
 def full_support(spec: RieszProductSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """All representable points and their coefficients, for N <= 12.
+    """All representable points and their coefficients.
 
     Returns (m sorted ascending, coefficient values), 3^N entries.
     """

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Hashable, Iterable, Mapping
 
 from .errors import ConfigParse
@@ -31,32 +31,39 @@ def run_tasks(tasks: Mapping[Hashable, Callable[[], Any]], order: Iterable[Hasha
     """{key: tasks[key]()} in the key order of `tasks`, the tasks submitted in `order`.
 
     `order` lists every key once, long tasks first, so the short ones fill
-    in behind them.  The exception raised is the first failure in key
-    order, whatever order the tasks fail in: a task whose key comes after a
-    failed one is skipped when it starts, and tasks still queued are
-    cancelled.  On one worker, for one task, or when called from a task,
-    the tasks run inline in key order, so no thread starts another.
+    in behind them.  An entry of `order` may be a tuple of keys, a lane: its
+    keys run in turn on one thread, in key order, so a key may not itself be
+    a tuple.  The exception raised is the first failure in key order,
+    whatever order the tasks fail in: a task whose key comes after a failed
+    one is skipped when it starts, so a lane stops at its first failure, and
+    tasks still queued are cancelled.  On one worker, for one task, or when
+    called from a task, the tasks run inline in key order, so no thread
+    starts another.
     """
     workers = worker_count()
     if workers == 1 or len(tasks) < 2 or getattr(_local, "in_pool", False):
         return {key: fn() for key, fn in tasks.items()}
     rank = {key: i for i, key in enumerate(tasks)}
+    lanes = [sorted(e if isinstance(e, tuple) else (e,), key=rank.__getitem__) for e in order]
+    futures = {key: Future() for lane in lanes for key in lane}
     failed = []  # ranks of the tasks that raised
 
-    def call(key):
-        # skip a task behind a failed key; list append and min are atomic under
-        # the GIL, and a task that starts just before that failure runs unread
-        if failed and min(failed) < rank[key]:
-            return None
-        try:
-            return tasks[key]()
-        except BaseException:
-            failed.append(rank[key])
-            raise
+    def run(lane):
+        for key in lane:
+            # skip a task behind a failed key, and so the rest of its lane; append and min
+            # are atomic under the GIL, and a task starting just before that failure runs unread
+            if failed and min(failed) < rank[key]:
+                return
+            try:
+                futures[key].set_result(tasks[key]())
+            except BaseException as exc:
+                failed.append(rank[key])
+                futures[key].set_exception(exc)
 
     pool = ThreadPoolExecutor(max_workers=workers, initializer=setattr, initargs=(_local, "in_pool", True))
     try:
-        futures = {key: pool.submit(call, key) for key in order}
+        for lane in lanes:
+            pool.submit(run, lane)
         return {key: futures[key].result() for key in tasks}
     finally:
         pool.shutdown(cancel_futures=True)

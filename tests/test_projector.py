@@ -544,7 +544,7 @@ def test_indicator_json_round_trip(golden_inds):
 
 def test_series_epsilon_ladder(golden_kf):
     K, F = golden_kf
-    series = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    series = projector_series(K, F, [2.0], 3, 24)[0]
     assert [ind.epsilon for ind in series] == pytest.approx(
         [math.exp(-2.0 * k) for k in (1, 2, 3)], rel=1e-15
     )
@@ -552,7 +552,7 @@ def test_series_epsilon_ladder(golden_kf):
 
 def test_series_sup_differences(golden_kf):
     K, F = golden_kf
-    series = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    series = projector_series(K, F, [2.0], 3, 24)[0]
     pts = np.concatenate([K.values(), np.array(F)])
     for k in range(len(series) - 1):
         eps_k = series[k].epsilon
@@ -562,9 +562,9 @@ def test_series_sup_differences(golden_kf):
 
 def test_series_pool_matches_one_worker(golden_kf, monkeypatch, two_workers):
     K, F = golden_kf
-    two = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    two = projector_series(K, F, [2.0], 3, 24)[0]
     monkeypatch.setenv("HELSON_LAB_THREADS", "1")
-    one = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    one = projector_series(K, F, [2.0], 3, 24)[0]
     assert [ind.to_json_dict() for ind in two] == [ind.to_json_dict() for ind in one]
 
 
@@ -579,7 +579,7 @@ def test_series_solves_smallest_eps_first(monkeypatch, golden_kf):
         return real(stages, order)
 
     monkeypatch.setattr(projector, "run_tasks", recording)
-    series = projector_series(K, F, p=2.0, k_terms=3, degree=24)
+    series = projector_series(K, F, [2.0], 3, 24)[0]
     assert submitted == sorted(submitted) and len(submitted) == 3
     assert [ind.epsilon for ind in series] == sorted(submitted, reverse=True)
 
@@ -600,7 +600,7 @@ def test_series_stage_failure_propagates(monkeypatch, golden_kf, two_workers):
 
     def run():
         try:
-            projector_series(K, F, p=2.0, k_terms=3, degree=24)
+            projector_series(K, F, [2.0], 3, 24)
         except InfeasibleSeparation as exc:
             raised.append(exc)
 
@@ -613,20 +613,20 @@ def test_series_stage_failure_propagates(monkeypatch, golden_kf, two_workers):
 
 def test_series_floor_drops_tiny_terms():
     # p = 16: eps_2 = e^{-32} ~ 1.3e-14 kept, eps_3 = e^{-48} dropped
-    series = projector_series(FiniteFrequencySet((Fraction(0),)), [0.4, 0.6], p=16.0, k_terms=3, degree=4)
+    series = projector_series(FiniteFrequencySet((Fraction(0),)), [0.4, 0.6], [16.0], 3, 4)[0]
     assert len(series) == 2
 
 
 def test_series_guards(golden_kf):
     K, F = golden_kf
     with pytest.raises(OutOfRange):
-        projector_series(K, F, p=1.5, k_terms=2, degree=24)
+        projector_series(K, F, [1.5], 2, 24)
     with pytest.raises(OutOfRange):
-        projector_series(K, F, p=17.0, k_terms=2, degree=24)
+        projector_series(K, F, [17.0], 2, 24)
     with pytest.raises(OutOfRange):
-        projector_series(K, F, p=2.0, k_terms=0, degree=24)
+        projector_series(K, F, [2.0], 0, 24)
     with pytest.raises(OutOfRange):
-        projector_series(K, F, p=2.0, k_terms=7, degree=24)
+        projector_series(K, F, [2.0], 7, 24)
 
 
 # ---------------------------------------------------------------------------

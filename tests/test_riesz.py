@@ -54,19 +54,15 @@ def test_dissociate_accepted():
     RieszProductSpec(0.5, (5, 8, 12))  # dissociate despite 12 - 8 < 5
 
 
-def test_doubling_criterion_large_n():
-    freqs = []
-    total = 0
-    n = 1
-    for _ in range(24):
-        freqs.append(n)
-        total += n
-        n = 2 * total + 1
-    RieszProductSpec(0.3, tuple(freqs))  # accepted via doubling
-    bad = list(freqs)
-    bad[-1] = bad[-2] + 1  # still increasing, violates doubling
-    with pytest.raises(NotDissociate):
-        RieszProductSpec(0.3, tuple(bad))
+def test_spec_refuses_more_than_twelve_frequencies(monkeypatch):
+    # refused before certification: 3^N support points are the envelope
+    def certify(freqs):
+        raise AssertionError(f"certified {len(freqs)} frequencies")
+
+    monkeypatch.setattr(riesz, "_certify_dissociate", certify)
+    for N in (13, 24):
+        with pytest.raises(OutOfRange, match=f"N = {N}"):
+            RieszProductSpec(0.5, tuple(3 ** j for j in range(1, N + 1)))
 
 
 def test_alpha_domain():
@@ -237,11 +233,3 @@ def test_support_selection_matches_sign_scan(freqs):
         for positive_only in (False, True):
             expected = _support_by_sign_scan(freqs, m_range, positive_only)
             assert riesz._support_in_range(spec, m_range) == expected
-
-
-def test_profiles_refuse_thirteen_frequencies():
-    spec = RieszProductSpec(0.5, tuple(3 ** j for j in range(1, 14)))
-    with pytest.raises(OutOfRange):
-        convolution_power_profile(spec, 1, 10)
-    with pytest.raises(OutOfRange):
-        rigidity_search(spec, 10)

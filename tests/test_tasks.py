@@ -1,4 +1,4 @@
-"""The task runner: key-order results and failures, cancellation, one level of threads."""
+"""The task runner: key-order results and failures, cancellation, lanes, one level of threads."""
 
 import random
 import sys
@@ -71,6 +71,102 @@ def test_tasks_not_yet_started_are_cancelled(two_workers):
     with pytest.raises(RuntimeError, match="a broke"):
         run_tasks(jobs, ["a", "b", "c", "d"])
     assert sorted(ran) == ["a", "b"]
+
+
+def test_lane_runs_in_turn_on_one_thread_beside_another_lane(two_workers):
+    # "a" waits for "d" to start, so the lane and "d" run side by side
+    d_started, spans = threading.Event(), {}
+
+    def lane_key(key):
+        def run():
+            t0 = time.perf_counter()
+            if key == "a":
+                assert d_started.wait(timeout=30)
+            time.sleep(0.02)
+            spans[key] = (t0, time.perf_counter())
+            return threading.get_ident()
+        return run
+
+    def d():
+        d_started.set()
+        return threading.get_ident()
+
+    jobs = {k: lane_key(k) for k in "abc"}
+    jobs["d"] = d
+    out = run_tasks(jobs, [("a", "b", "c"), "d"])
+    assert list(out) == ["a", "b", "c", "d"]
+    assert out["a"] == out["b"] == out["c"] != out["d"]
+    lane = [spans[k] for k in "abc"]
+    assert all(end <= start for (_, end), (start, _) in zip(lane, lane[1:])), lane
+
+
+def test_lane_stops_at_its_first_failure(two_workers):
+    ran = []
+
+    def task(key):
+        def run():
+            ran.append(key)
+            if key == "b":
+                raise ValueError("b broke")
+            return key
+        return run
+
+    with pytest.raises(ValueError, match="b broke"):
+        run_tasks({k: task(k) for k in "abcd"}, [("a", "b", "c"), "d"])
+    assert "c" not in ran and ran.index("a") < ran.index("b")
+
+
+def test_first_failure_in_key_order_wins_across_lanes(two_workers):
+    # "b" fails first in time, in a lane of its own with "c"; "a" fails after it
+    b_failed, ran = threading.Event(), []
+
+    def a():
+        ran.append("a")
+        assert b_failed.wait(timeout=30)
+        raise ValueError("a broke")
+
+    def b():
+        ran.append("b")
+        try:
+            raise ValueError("b broke")
+        finally:
+            b_failed.set()
+
+    def later(key):
+        return lambda: ran.append(key)
+
+    jobs = {"a": a, "b": b, "c": later("c"), "d": later("d")}
+    with pytest.raises(ValueError, match="a broke"):
+        run_tasks(jobs, [("b", "c"), ("a", "d")])
+    assert sorted(ran) == ["a", "b"]
+
+
+def test_lane_out_of_key_order_runs_in_key_order(two_workers):
+    ran, outcome = [], []
+
+    def task(key, fails=False):
+        def run():
+            ran.append(key)
+            if fails:
+                raise RuntimeError(f"{key} broke")
+            return key
+        return run
+
+    def call(jobs):
+        try:
+            outcome.append(run_tasks(jobs, [("c", "a"), "b"]))
+        except RuntimeError as exc:
+            outcome.append(str(exc))
+
+    for fails in (False, True):
+        ran.clear()
+        outcome.clear()
+        caller = threading.Thread(target=call, args=({"a": task("a"), "b": task("b"), "c": task("c", fails)},))
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "run_tasks hung on a lane listed out of key order"
+        assert outcome == (["c broke"] if fails else [{"a": "a", "b": "b", "c": "c"}])
+        assert ran.index("a") < ran.index("c")
 
 
 class _CountingPool(tasks.ThreadPoolExecutor):
