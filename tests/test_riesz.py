@@ -54,6 +54,25 @@ def test_dissociate_accepted():
     RieszProductSpec(0.5, (5, 8, 12))  # dissociate despite 12 - 8 < 5
 
 
+def test_doubling_criterion_large_n():
+    # at the largest N the exhaustive certificate accepts a doubling list
+    # and rejects one whose last gap is n_1; a longer list is refused
+    freqs = []
+    total = 0
+    n = 1
+    for _ in range(24):
+        freqs.append(n)
+        total += n
+        n = 2 * total + 1
+    RieszProductSpec(0.3, tuple(freqs[:12]))
+    bad = freqs[:12]
+    bad[-1] = bad[-2] + 1  # still increasing, n_12 - n_11 - n_1 = 0
+    with pytest.raises(NotDissociate):
+        RieszProductSpec(0.3, tuple(bad))
+    with pytest.raises(OutOfRange):
+        RieszProductSpec(0.3, tuple(freqs))
+
+
 def test_spec_refuses_more_than_twelve_frequencies(monkeypatch):
     # refused before certification: 3^N support points are the envelope
     def certify(freqs):
@@ -233,3 +252,12 @@ def test_support_selection_matches_sign_scan(freqs):
         for positive_only in (False, True):
             expected = _support_by_sign_scan(freqs, m_range, positive_only)
             assert riesz._support_in_range(spec, m_range) == expected
+
+
+def test_profiles_refuse_thirteen_frequencies():
+    # the spec refuses N = 13, so no profile of it is ever computed
+    freqs = tuple(3 ** j for j in range(1, 14))
+    with pytest.raises(OutOfRange):
+        convolution_power_profile(RieszProductSpec(0.5, freqs), 1, 10)
+    with pytest.raises(OutOfRange):
+        rigidity_search(RieszProductSpec(0.5, freqs), 10)
