@@ -27,15 +27,10 @@ from . import BLAS_THREADS, __version__
 from . import gauss as G
 from .acceptance import results_json, run_acceptance
 from .drury import mix_drury
-from .errors import ConfigParse, HelsonLabError, MomentCheckFailed
+from .errors import ConfigParse, HelsonLabError, MomentCheckFailed, OutOfRange
 from .mela import SignedGridMeasure, solve_mela
 from .projector import helson_constant, projector_series
-from .riesz import (
-    RieszProductSpec,
-    convolution_power_profile,
-    full_support,
-    rigidity_search,
-)
+from .riesz import RieszProductSpec, full_support, rigidity_search
 from .tasks import run_tasks, worker_count
 from .torus import (
     AtomicCircleMeasure,
@@ -124,8 +119,13 @@ def _manifest(args: argparse.Namespace, command: str, wall: float, outputs: List
     }
 
 
-def _freq_set_from_file(path: str) -> FiniteFrequencySet:
-    return FiniteFrequencySet.from_json_dict(load_json(path))
+def _load_input(path: str, cls):
+    """cls.from_json_dict of the JSON file at path; a wrongly shaped file is a ConfigParse naming it."""
+    data = load_json(path)
+    try:
+        return cls.from_json_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise ConfigParse(f"input file {path} is not a {cls.__name__}: {type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def _cmd_mela(args) -> int:
 
 def _cmd_drury(args) -> int:
     if args.sigma:
-        sigma = SignedGridMeasure.from_json_dict(load_json(args.sigma))
+        sigma = _load_input(args.sigma, SignedGridMeasure)
         tv = sigma.total_variation
     else:
         sigma, cert = solve_mela(args.epsilon)
@@ -198,7 +198,7 @@ def _cmd_drury(args) -> int:
 
 
 def _cmd_helson_constant(args) -> int:
-    K = _freq_set_from_file(args.K)
+    K = _load_input(args.K, FiniteFrequencySet)
     est = helson_constant(K, g_range=args.grange, restarts=args.restarts, seed=args.seed)
     path = os.path.join(args.out, "helson_constant.json")
     _write_json(path, est.to_json_dict())
@@ -211,8 +211,8 @@ def _cmd_helson_constant(args) -> int:
 
 
 def _cmd_projector(args) -> int:
-    K = _freq_set_from_file(args.K)
-    F = list(_freq_set_from_file(args.F).values())
+    K = _load_input(args.K, FiniteFrequencySet)
+    F = list(_load_input(args.F, FiniteFrequencySet).values())
     p_list = [float(tok) for tok in args.p.split(",") if tok.strip()]
     series_out = {}
     rows = []
@@ -234,19 +234,20 @@ def _cmd_projector(args) -> int:
 def _cmd_riesz(args) -> int:
     freqs = tuple(int(tok) for tok in args.freqs.split(",") if tok.strip())
     spec = RieszProductSpec(args.alpha, freqs)
+    summary = {"alpha": args.alpha, "freqs": list(freqs)}
+    if args.profile:  # refused before any file is written
+        if args.profile < 1 or args.power < 1:
+            raise OutOfRange(f"--profile and --power must be >= 1, got {args.profile} and {args.power}")
+        g, ratio = rigidity_search(spec, args.profile)
+        # the k-fold convolution peaks at the same point, at ratio ** k; (1, 0.0) means no point in range
+        argm = 0 if (g, ratio) == (1, 0.0) else g
+        summary["power_profile"] = {"k": args.power, "m_range": args.profile,
+                                    "max": ratio ** args.power, "argmax_m": argm}
+        summary["rigidity"] = {"g": g, "ratio": ratio}
     ms, coeffs = full_support(spec)
+    summary["support_size"] = int(len(ms))
     cpath = os.path.join(args.out, "riesz_support.csv")
     _write_csv(cpath, ["m", "coeff"], [[int(m), float(c)] for m, c in zip(ms, coeffs)])
-    summary = {
-        "alpha": args.alpha,
-        "freqs": list(freqs),
-        "support_size": int(len(ms)),
-    }
-    if args.profile:
-        val, argm = convolution_power_profile(spec, args.power, args.profile)
-        summary["power_profile"] = {"k": args.power, "m_range": args.profile, "max": val, "argmax_m": argm}
-        g, ratio = rigidity_search(spec, args.profile)
-        summary["rigidity"] = {"g": g, "ratio": ratio}
     jpath = os.path.join(args.out, "riesz.json")
     _write_json(jpath, summary)
     args._outputs = [cpath, jpath]
@@ -254,7 +255,7 @@ def _cmd_riesz(args) -> int:
     if args.profile:
         pp = summary["power_profile"]
         print(f"  conv power k={pp['k']}: max {pp['max']:.4g} at m={pp['argmax_m']}; "
-              f"rigidity ratio {summary['rigidity']['ratio']:.4f} at g={summary['rigidity']['g']}")
+              f"rigidity ratio {ratio:.4f} at g={g}")
     return 0
 
 
@@ -264,7 +265,7 @@ def _cmd_gauss_sim(args) -> int:
     for tok in wanted:
         if tok not in known:
             raise ConfigParse(f"unknown report section: {tok}")
-    spectrum = AtomicCircleMeasure.from_json_dict(load_json(args.spectrum))
+    spectrum = _load_input(args.spectrum, AtomicCircleMeasure)
     cls = G.RandomPhaseModel if args.model == "random-phase" else G.GaussianModel
     model = cls(spectrum=spectrum, T_len=args.len, seed=args.seed)
     seq = G.simulate(model)
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=("gaussian", "random-phase"), default="gaussian")
     p.add_argument("--report", default="moments,spectral,gaussianity")
-    p.add_argument("--pmax", type=int, default=16)
+    p.add_argument("--pmax", type=int, choices=range(2, 33, 2), default=16)
     p.add_argument("--dump", action="store_true", help="also write the time series CSV")
     common(p, _cmd_gauss_sim)
 

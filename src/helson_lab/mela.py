@@ -28,7 +28,6 @@ class SignedGridMeasure:
     """Atomic signed measure on (0, 1/2]: strictly increasing s values."""
 
     atoms: Tuple[Tuple[float, float], ...]  # (s, w)
-    total_variation: float
 
     def __post_init__(self):
         s_prev = 0.0
@@ -38,14 +37,14 @@ class SignedGridMeasure:
             if s <= s_prev:
                 raise OutOfRange("atom locations must be strictly increasing")
             s_prev = s
-        tv = sum(abs(w) for _, w in self.atoms)
-        if abs(tv - self.total_variation) > 1e-12 * (1.0 + tv):
-            raise OutOfRange("total_variation inconsistent with atoms")
+
+    @property
+    def total_variation(self) -> float:
+        return sum(abs(w) for _, w in self.atoms)
 
     @staticmethod
     def from_atoms(pairs) -> "SignedGridMeasure":
-        pairs = tuple(sorted((float(s), float(w)) for s, w in pairs))
-        return SignedGridMeasure(pairs, sum(abs(w) for _, w in pairs))
+        return SignedGridMeasure(tuple(sorted((float(s), float(w)) for s, w in pairs)))
 
     def locations(self) -> np.ndarray:
         return np.array([s for s, _ in self.atoms], dtype=float)

@@ -32,6 +32,7 @@ from .torus import (
     AtomicCircleMeasure,
     FiniteFrequencySet,
     SparseTrigPoly,
+    _circle_dist,
     _mu_hat_scan,
     a_norm_lattice,
     golden_min,
@@ -51,11 +52,6 @@ _OCTAGON = np.array([
 ])
 # (cos, sin) of the eight cap directions j pi / 4
 _CAP_DIRS = np.array([(math.cos(j * math.pi / 4.0), math.sin(j * math.pi / 4.0)) for j in range(8)])
-
-
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +467,14 @@ def projector_series(
     back in eps order, its consecutive sup differences on K u F re-checked
     against 2 eps_k.  One ladder is projector_series(K, F, [p], ...)[0].
     """
+    if not ps:
+        raise OutOfRange("ps must hold at least one p")
+    if k_terms < 1 or k_terms > 6:
+        raise OutOfRange(f"k_terms must be in 1..6, got {k_terms}")
     ladders = []
     for p in ps:
         if p < 2.0 or p > 16.0:
             raise OutOfRange(f"p must lie in [2, 16], got {p}")
-        if k_terms < 1 or k_terms > 6:
-            raise OutOfRange(f"k_terms must be in 1..6, got {k_terms}")
         ladders.append([e for e in (math.exp(-k * p) for k in range(1, k_terms + 1)) if e >= 1e-14])
     eps_all = sorted({e for eps_list in ladders for e in eps_list}, reverse=True)
     solved = run_tasks({e: partial(approx_indicator, K, F_samples, e, degree) for e in eps_all}, eps_all[::-1])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -97,57 +97,28 @@ def _mitm_tables(freqs: Tuple[int, ...]):
     return out[0], out[1]
 
 
-def _support_in_range(spec: RieszProductSpec, m_range: int) -> Optional[Tuple[int, int]]:
-    """(level, m) for the support point 0 < m <= m_range of smallest level, then smallest m, or None.
-
-    The level is the number of nonzero signs, read from the _mitm_tables;
-    the point carries the maximal coefficient (alpha/2)^level over
-    0 < |m| <= m_range.  The support is symmetric, so the smallest |m| of
-    that level is taken positive.
-    """
-    (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
-    m = (sl[:, None] + sr[None, :]).ravel()
-    keep = np.flatnonzero((m > 0) & (m <= m_range))
-    if keep.size == 0:
-        return None
-    m, level = m[keep], (nl[:, None] + nr[None, :]).ravel()[keep]
-    i = np.lexsort((m, level))[0]
-    return int(level[i]), int(m[i])
-
-
-def convolution_power_profile(spec: RieszProductSpec, k: int, m_range: int) -> Tuple[float, int]:
-    """Max over 0 < |m| <= m_range of |sigma_hat(m)|^k and its location.
-
-    Coefficients of the k-fold convolution are sigma_hat(m)^k, so the max
-    sits at the smallest-level representable point; ties break to the
-    smallest |m|.
-    """
-    if k < 1:
-        raise OutOfRange(f"k must be >= 1, got {k}")
-    if m_range > 10 ** 7:
-        raise OutOfRange(f"m_range must be <= 1e7, got {m_range}")
-    found = _support_in_range(spec, m_range)
-    if found is None:
-        return 0.0, 0
-    level, m = found
-    base = (spec.alpha / 2.0) ** level
-    return base ** k, m
-
-
 def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:
-    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range.
+    """Maximize |sigma_hat(g)| / sigma_hat(0) over 0 < g <= g_range: (g, ratio).
 
-    Finite truncations cap the ratio at alpha/2 (attained at g = n_j), so
-    the diagnostic shows how truncation destroys rigidity: the returned
-    value never approaches 1.
+    The max sits at the support point of smallest level (the number of
+    nonzero signs, read from the _mitm_tables), ties broken to the smallest
+    g; the support is symmetric, so that g is taken positive.  With no
+    support point in range the result is (1, 0.0).  Finite truncations cap
+    the ratio at alpha/2 (attained at g = n_j), so the value never
+    approaches 1.  The k-fold convolution's coefficients are
+    sigma_hat(m)^k, so its max over the same range is ratio ** k at the
+    same g.
     """
     if g_range > 10 ** 7:
         raise OutOfRange(f"g_range must be <= 1e7, got {g_range}")
-    found = _support_in_range(spec, g_range)
-    if found is None:
+    (sl, nl), (sr, nr) = _mitm_tables(spec.freqs)
+    m = (sl[:, None] + sr[None, :]).ravel()
+    keep = np.flatnonzero((m > 0) & (m <= g_range))
+    if keep.size == 0:
         return 1, 0.0
-    level, m = found
-    return m, (spec.alpha / 2.0) ** level
+    m, level = m[keep], (nl[:, None] + nr[None, :]).ravel()[keep]
+    i = np.lexsort((m, level))[0]
+    return int(m[i]), (spec.alpha / 2.0) ** int(level[i])
 
 
 def full_support(spec: RieszProductSpec) -> Tuple[np.ndarray, np.ndarray]:

@@ -38,9 +38,14 @@ _LATTICE_CHUNK = 1 << 16  # coefficient vectors per enumeration block
 _CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 
 
-def freq_value(f: Frequency) -> float:
-    """Float value of a frequency (Fraction or float)."""
-    return float(f)
+def _reduce(f) -> Frequency:
+    """f mod 1: exact for a Fraction, a float otherwise."""
+    return f % 1 if isinstance(f, Fraction) else float(f) % 1.0
+
+
+def _circle_dist(a: float, b: float) -> float:
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
 
 
 def golden_min(fun: Callable[[float], float], a: float, b: float) -> float:
@@ -63,10 +68,7 @@ def golden_min(fun: Callable[[float], float], a: float, b: float) -> float:
 
 def parse_frequency(obj) -> Frequency:
     """Parse a JSON frequency: "p/q" string -> exact Fraction, number -> float."""
-    if isinstance(obj, str):
-        frac = Fraction(obj)
-        return frac % 1
-    return float(obj) % 1.0
+    return _reduce(Fraction(obj) if isinstance(obj, str) else obj)
 
 
 def frequency_to_json(f: Frequency):
@@ -157,7 +159,7 @@ def _check_distinct(freqs: Sequence[Frequency], what: str) -> None:
     # 0 ~ 1) is the first or the last entry; only those pairs are compared.
     if len(freqs) < 2:
         return
-    order = sorted(range(len(freqs)), key=lambda i: (freq_value(freqs[i]), freqs[i]))
+    order = sorted(range(len(freqs)), key=lambda i: (float(freqs[i]), freqs[i]))
     first, last = order[0], order[-1]
     pairs = list(zip(order, order[1:]))
     pairs += [
@@ -172,10 +174,8 @@ def _check_distinct(freqs: Sequence[Frequency], what: str) -> None:
         if isinstance(fi, Fraction) and isinstance(fj, Fraction):
             if fi == fj:
                 raise OutOfRange(f"duplicate frequency {fi} in {what}")
-        else:
-            d = abs(freq_value(fi) - freq_value(fj))
-            if min(d, 1.0 - d) <= FLOAT_FREQ_TOL:
-                raise OutOfRange(f"frequencies {fi} and {fj} coincide in {what}")
+        elif _circle_dist(float(fi), float(fj)) <= FLOAT_FREQ_TOL:
+            raise OutOfRange(f"frequencies {fi} and {fj} coincide in {what}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,9 @@ class AtomicCircleMeasure:
     atoms: Tuple[Tuple[Frequency, complex], ...]
 
     def __post_init__(self):
-        norm = []
-        for f, w in self.atoms:
-            if isinstance(f, Fraction):
-                norm.append((f % 1, complex(w)))
-            else:
-                norm.append((float(f) % 1.0, complex(w)))
+        norm = tuple((_reduce(f), complex(w)) for f, w in self.atoms)
         _check_distinct([f for f, _ in norm], "AtomicCircleMeasure")
-        object.__setattr__(self, "atoms", tuple(norm))
+        object.__setattr__(self, "atoms", norm)
 
     @staticmethod
     def from_pairs(pairs: Iterable[Tuple[Frequency, complex]]) -> "AtomicCircleMeasure":
@@ -202,13 +197,13 @@ class AtomicCircleMeasure:
         return float(sum(abs(w) for _, w in self.atoms))
 
     def frequencies(self) -> np.ndarray:
-        return np.array([freq_value(f) for f, _ in self.atoms], dtype=float)
+        return np.array([float(f) for f, _ in self.atoms], dtype=float)
 
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=complex)
 
     def to_json_dict(self) -> dict:
-        atoms = sorted(self.atoms, key=lambda fw: (freq_value(fw[0]), fw[1].real))
+        atoms = sorted(self.atoms, key=lambda fw: (float(fw[0]), fw[1].real))
         return {
             "atoms": [
                 {"freq": frequency_to_json(f), "re": w.real, "im": w.imag}
@@ -233,22 +228,16 @@ class FiniteFrequencySet:
     freqs: Tuple[Frequency, ...]
 
     def __post_init__(self):
-        norm: List[Frequency] = []
-        for f in self.freqs:
-            if isinstance(f, Fraction):
-                norm.append(f % 1)
-            elif isinstance(f, int):
-                norm.append(Fraction(f) % 1)
-            else:
-                norm.append(float(f) % 1.0)
+        # a Python int stays exact here; JSON integers arrive as floats from parse_frequency
+        norm = tuple(_reduce(Fraction(f) if isinstance(f, int) else f) for f in self.freqs)
         _check_distinct(norm, "FiniteFrequencySet")
-        object.__setattr__(self, "freqs", tuple(norm))
+        object.__setattr__(self, "freqs", norm)
 
     def __len__(self) -> int:
         return len(self.freqs)
 
     def values(self) -> np.ndarray:
-        return np.array([freq_value(f) for f in self.freqs], dtype=float)
+        return np.array([float(f) for f in self.freqs], dtype=float)
 
     def all_rational(self) -> bool:
         return all(isinstance(f, Fraction) for f in self.freqs)

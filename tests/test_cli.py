@@ -207,6 +207,30 @@ def test_riesz_support_and_profile(tmp_path):
     assert abs(summary["rigidity"]["ratio"] - 0.25) < 1e-12
 
 
+def test_riesz_profile_with_no_support_point_in_range(tmp_path):
+    # the least positive support point of (3, 9) is 3, so a range of 2 holds none
+    out = tmp_path / "run"
+    assert main(["riesz", "--alpha", "0.5", "--freqs", "3,9", "--profile", "2", "--out", str(out)]) == 0
+    summary = read_json(out / "riesz.json")
+    assert summary["power_profile"] == {"k": 2, "m_range": 2, "max": 0.0, "argmax_m": 0}
+    assert summary["rigidity"] == {"g": 1, "ratio": 0.0}
+
+
+@pytest.mark.parametrize("flags", [["--profile", "5", "--power", "0"], ["--profile", "-3"]])
+def test_riesz_refuses_bad_profile_input_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["riesz", "--alpha", "0.5", "--freqs", "3,9,27", *flags, "--out", str(out)]) == 2
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_riesz_profile_zero_means_no_profiles(tmp_path):
+    out = tmp_path / "run"
+    assert main(["riesz", "--alpha", "0.5", "--freqs", "3,9", "--profile", "0", "--power", "0",
+                 "--out", str(out)]) == 0
+    assert "power_profile" not in read_json(out / "riesz.json")
+
+
 def test_gauss_sim_sections_and_dump(tmp_path, spectrum_file):
     out = tmp_path / "run"
     rc = main([
@@ -656,6 +680,53 @@ def test_missing_input_file_exits_two(tmp_path):
         "--out", str(tmp_path / "run"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("helson-constant", "--K", {"atoms": [{"freq": 0.3}]}),  # no "freqs" key
+    ("helson-constant", "--K", [0.3, 0.6]),  # a list, not an object
+    ("projector", "--F", {"freqs": [None]}),
+    ("gauss-sim", "--spectrum", {"freqs": [0.3]}),  # no "atoms" key
+    ("drury", "--sigma", {"freqs": [0.3]}),
+])
+def test_malformed_input_file_exits_two(tmp_path, freq_files, capsys, command, flag, content):
+    bad = write_json(tmp_path / "bad.json", content)
+    kf, ff = freq_files
+    argv = {
+        "helson-constant": ["helson-constant", "--grange", "20"],
+        "projector": ["projector", "--K", kf, "--F", ff, "--degree", "24"],
+        "gauss-sim": ["gauss-sim", "--len", "100"],
+        "drury": ["drury", "--n", "2", "--epsilon", "0.1"],
+    }[command]
+    out = tmp_path / "run"
+    assert main([*argv, flag, bad, "--out", str(out)]) == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_gauss_sim_refuses_odd_pmax_before_synthesis(tmp_path, spectrum_file, monkeypatch):
+    def no_synthesis(model):
+        raise AssertionError("simulate ran before the --pmax check")
+
+    monkeypatch.setattr(cli.G, "simulate", no_synthesis)
+    for pmax in ("3", "34", "0"):
+        rc = main(["gauss-sim", "--spectrum", spectrum_file, "--len", "2000", "--pmax", pmax,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+
+
+@pytest.mark.parametrize("p, kterms", [(",", "99"), (",", "2"), ("2", "99"), ("2", "0")])
+def test_projector_refuses_bad_ladder_before_any_lp(tmp_path, freq_files, monkeypatch, p, kterms):
+    def no_lp(*args):
+        raise AssertionError("an LP ran before the ladder check")
+
+    monkeypatch.setattr(projector, "approx_indicator", no_lp)
+    kf, ff = freq_files
+    out = tmp_path / "run"
+    rc = main(["projector", "--K", kf, "--F", ff, "--p", p, "--kterms", kterms, "--degree", "24",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_unknown_report_section_exits_two(tmp_path, spectrum_file, capsys, monkeypatch):

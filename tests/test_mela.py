@@ -30,7 +30,7 @@ def test_measure_invariants():
     with pytest.raises(OutOfRange):
         SignedGridMeasure.from_atoms([(0.0, 1.0)])
     with pytest.raises(OutOfRange):
-        SignedGridMeasure(((0.3, 1.0), (0.3, 1.0)), 2.0)
+        SignedGridMeasure(((0.3, 1.0), (0.3, 1.0)))
 
 
 def test_check_moments_single_atom():

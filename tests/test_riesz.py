@@ -15,7 +15,6 @@ from helson_lab import riesz
 from helson_lab.errors import NotDissociate, OutOfRange
 from helson_lab.riesz import (
     RieszProductSpec,
-    convolution_power_profile,
     dense_coefficient_oracle,
     full_support,
     rigidity_search,
@@ -156,20 +155,26 @@ def test_parseval_cross_check():
 # profiles
 # ---------------------------------------------------------------------------
 
+def _power_profile(spec, k, m_range):
+    """The CLI's k-fold convolution profile: the rigidity point, its ratio to the k."""
+    g, ratio = rigidity_search(spec, m_range)
+    return ratio ** k, (0 if (g, ratio) == (1, 0.0) else g)
+
+
 def test_profile_examples():
     spec = RieszProductSpec(0.5, tuple(3 ** j for j in range(1, 9)))
-    assert convolution_power_profile(spec, 1, 10 ** 4) == (0.25, 3)
-    val, arg = convolution_power_profile(spec, 3, 10 ** 4)
+    assert _power_profile(spec, 1, 10 ** 4) == (0.25, 3)
+    val, arg = _power_profile(spec, 3, 10 ** 4)
     assert val == pytest.approx(0.015625)
     assert arg == 3
     spec_full = RieszProductSpec(1.0, (7, 15, 31))
-    assert convolution_power_profile(spec_full, 1, 100)[0] == pytest.approx(0.5)
+    assert _power_profile(spec_full, 1, 100)[0] == pytest.approx(0.5)
 
 
 def test_profile_power_is_bit_exact():
     spec = RieszProductSpec(0.7, (4, 9, 19))
-    v1, m1 = convolution_power_profile(spec, 1, 1000)
-    v5, m5 = convolution_power_profile(spec, 5, 1000)
+    v1, m1 = _power_profile(spec, 1, 1000)
+    v5, m5 = _power_profile(spec, 5, 1000)
     assert v5 == v1 ** 5  # same float powered
     assert m5 == m1
 
@@ -177,9 +182,9 @@ def test_profile_power_is_bit_exact():
 def test_profile_tie_break_smallest_m():
     spec = RieszProductSpec(0.5, (5, 8, 12))
     # level-1 points 5, 8, 12 all in range; smallest wins
-    assert convolution_power_profile(spec, 1, 100)[1] == 5
+    assert _power_profile(spec, 1, 100)[1] == 5
     # range below n_1 still catches the level-2 points 8 - 5 = 3 and 12 - 8 = 4
-    val, arg = convolution_power_profile(spec, 1, 4)
+    val, arg = _power_profile(spec, 1, 4)
     assert arg == 3
     assert val == pytest.approx(0.0625)
 
@@ -189,7 +194,15 @@ def test_rigidity_examples():
     assert rigidity_search(spec, 100) == (3, 0.25)
     assert rigidity_search(RieszProductSpec(1.0, (2,)), 10) == (2, 0.5)
     empty = RieszProductSpec(0.4, ())
-    assert rigidity_search(empty, 50)[1] == 0.0
+    assert rigidity_search(empty, 50) == (1, 0.0)
+    assert _power_profile(empty, 2, 50) == (0.0, 0)
+    # no support point in range: 3 - 2 = 1 is the least, so a range of 0 holds none
+    assert rigidity_search(RieszProductSpec(0.5, (2, 3)), 0) == (1, 0.0)
+
+
+def test_rigidity_refuses_range_above_1e7():
+    with pytest.raises(OutOfRange):
+        rigidity_search(RieszProductSpec(0.5, (3, 9)), 10 ** 7 + 1)
 
 
 def test_rigidity_bounded_by_half_alpha():
@@ -211,7 +224,7 @@ def _levels_by_sign_scan(freqs):
 
 
 def _support_by_sign_scan(freqs, m_range, positive_only):
-    """Reference for _support_in_range: the first level with a point in range, its smallest |m|, positive first."""
+    """Reference search: the first level with a point in range, its smallest |m|, positive first."""
     for L, ms in enumerate(_levels_by_sign_scan(freqs), start=1):
         best = None
         for m in ms:
@@ -245,19 +258,25 @@ def _dissociate_freqs(draw):
 @example((5, 8, 12))
 @example(tuple(3 ** j for j in range(1, 13)))
 def test_support_selection_matches_sign_scan(freqs):
-    # the profile and the rigidity search ask for the same point: the
+    # the profile and the rigidity search read the same point: the
     # support is symmetric, and the positive twin wins the tie
     spec = RieszProductSpec(0.5, freqs)
     for m_range in (1, 2, freqs[0] - 1, 10 ** 7):
         for positive_only in (False, True):
             expected = _support_by_sign_scan(freqs, m_range, positive_only)
-            assert riesz._support_in_range(spec, m_range) == expected
+            if expected is None:
+                assert rigidity_search(spec, m_range) == (1, 0.0)
+                assert _power_profile(spec, 3, m_range) == (0.0, 0)
+            else:
+                level, m = expected
+                assert rigidity_search(spec, m_range) == (m, 0.25 ** level)
+                assert _power_profile(spec, 3, m_range) == ((0.25 ** level) ** 3, m)
 
 
 def test_profiles_refuse_thirteen_frequencies():
     # the spec refuses N = 13, so no profile of it is ever computed
     freqs = tuple(3 ** j for j in range(1, 14))
     with pytest.raises(OutOfRange):
-        convolution_power_profile(RieszProductSpec(0.5, freqs), 1, 10)
+        _power_profile(RieszProductSpec(0.5, freqs), 1, 10)
     with pytest.raises(OutOfRange):
         rigidity_search(RieszProductSpec(0.5, freqs), 10)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from helson_lab.torus import (
     independence_check,
     l1_norm_monte_carlo,
     l1_norm_torus,
+    parse_frequency,
 )
 
 
@@ -57,6 +59,35 @@ def test_measure_rejects_duplicate_frequency():
         AtomicCircleMeasure(((Fraction(1, 3), 1.0), (Fraction(1, 3), 2.0)))
     with pytest.raises(OutOfRange):
         AtomicCircleMeasure(((0.25, 1.0), (0.25 + 1e-13, 1.0)))
+
+
+@pytest.mark.parametrize("value, parsed", [
+    ("7/3", Fraction(1, 3)),
+    ("-1/4", Fraction(3, 4)),
+    (json.loads("5"), 0.0),  # a JSON integer is a float frequency
+    (json.loads("-3"), 0.0),
+    (1.25, 0.25),
+    (-0.25, 0.75),
+    (-1e-20, 1.0),  # float rounding of 1 - 1e-20
+])
+def test_parse_frequency_reduces_mod_one(value, parsed):
+    got = parse_frequency(value)
+    assert type(got) is type(parsed) and repr(got) == repr(parsed)
+
+
+@pytest.mark.parametrize("value, in_measure, in_set", [
+    (1.25, 0.25, 0.25),
+    (-0.25, 0.75, 0.75),
+    (-1e-20, 1.0, 1.0),
+    (3, 0.0, Fraction(0)),  # a Python int stays exact in a frequency set only
+    (-2, 0.0, Fraction(0)),
+    (Fraction(7, 3), Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)),
+])
+def test_constructors_reduce_mod_one(value, in_measure, in_set):
+    for got, want in ((AtomicCircleMeasure(((value, 1.0),)).atoms[0][0], in_measure),
+                      (FiniteFrequencySet((value,)).freqs[0], in_set)):
+        assert type(got) is type(want) and repr(got) == repr(want)
 
 
 def _distinct_oracle(freqs) -> bool:
