@@ -7,11 +7,11 @@ coefficient at a representable m is (alpha/2)^(number of nonzero eps),
 1 at m = 0, and 0 off the representable set.
 
 A spec holds N <= 12 frequencies, since its support has 3^N points; a
-longer list is refused before anything is computed.  Dissociateness is
-certified exhaustively by meet-in-the-middle over the difference
-coefficients {-2..2}: the 3^N signed sums are pairwise distinct iff each
-half's difference set hits 0 only trivially and the two difference sets
-meet only at 0.
+longer list is refused before anything is computed.  Every table here is
+a half-sum table from torus._grid_sums, the lab's lattice enumerator.
+Dissociateness is certified by meet-in-the-middle over the differences
+{-2..2}: the 3^N signed sums are distinct iff each half's difference set
+hits 0 only trivially and the two difference sets meet only at 0.
 """
 
 from __future__ import annotations
@@ -23,23 +23,13 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotDissociate, OutOfRange
-
-
-def _signed_sums(freqs: Tuple[int, ...], coeffs: Tuple[int, ...]) -> np.ndarray:
-    """All sums sum_j c_j n_j with each c_j ranging over coeffs, as int64."""
-    cs = np.array(coeffs, dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for n in freqs:
-        sums = (sums[:, None] + np.int64(n) * cs[None, :]).ravel()
-    return sums
+from .torus import _grid_sums
 
 
 def _certify_dissociate(freqs: Tuple[int, ...]) -> None:
-    diff_range = (-2, -1, 0, 1, 2)
+    diffs = np.arange(-2, 3, dtype=np.int64)
     half = len(freqs) // 2
-    left, right = freqs[:half], freqs[half:]
-    d_left = _signed_sums(left, diff_range)
-    d_right = _signed_sums(right, diff_range)
+    d_left, d_right = (_grid_sums([n * diffs for n in part]) for part in (freqs[:half], freqs[half:]))
     if np.count_nonzero(d_left == 0) != 1 or np.count_nonzero(d_right == 0) != 1:
         raise NotDissociate(f"signed sums of {freqs} collide within a half")
     common = np.intersect1d(d_left, d_right)
@@ -81,16 +71,17 @@ class RieszProductSpec:
 def _mitm_tables(freqs: Tuple[int, ...]):
     """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
 
-    nnz counts the nonzero signs behind each sum.  The spec is dissociate, so
-    each half's sums are distinct and their sorted order is unique.
+    Both come from torus._grid_sums over the signs (0, 1, -1); nnz counts
+    the nonzero signs behind each sum.  The spec is dissociate, so each
+    half's sums are distinct and their sorted order is unique.
     """
+    signs = np.array([0, 1, -1], dtype=np.int64)
     half = len(freqs) // 2
     out = []
     for part in (freqs[:half], freqs[half:]):
-        sums = _signed_sums(part, (0, 1, -1))
-        nnz = _signed_sums((1,) * len(part), (0, 1, 1))
+        sums = _grid_sums([n * signs for n in part])
         order = np.argsort(sums, kind="stable")
-        table = (sums[order], nnz[order])
+        table = (sums[order], _grid_sums([np.abs(signs)] * len(part))[order])
         for arr in table:  # the cache hands these to every caller, on any thread
             arr.flags.writeable = False
         out.append(table)

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,13 +34,13 @@ FLOAT_FREQ_TOL = 1e-12   # distinctness tolerance for float frequencies
 
 # cap on scratch matrix entries for chunked evaluation
 _EVAL_CHUNK_ENTRIES = 4_000_000
-_LATTICE_CHUNK = 1 << 16  # coefficient vectors per enumeration block
+_HALF_TABLE_BUDGET = 10 ** 6  # entries in independence_check's larger half table
 _CHUNK_ELEMS = 1 << 22  # cap on sqrt(T)*atoms per phasor block (~64 MB complex)
 
 
 def _reduce(f) -> Frequency:
-    """f mod 1: exact for a Fraction, a float otherwise."""
-    return f % 1 if isinstance(f, Fraction) else float(f) % 1.0
+    """f mod 1 in [0, 1): exact for a Fraction, a float otherwise."""
+    return f % 1 if isinstance(f, Fraction) else float(f) % 1.0 % 1.0  # -1e-20 % 1.0 rounds to 1.0
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -449,65 +449,73 @@ def _canonical_sign(vec: Tuple[int, ...]) -> Tuple[int, ...]:
     return vec
 
 
-def _lattice_vectors(k: int, bound: int) -> Iterator[np.ndarray]:
-    """Every n in [-bound, bound]^k as int64 rows, in itertools.product order."""
-    base = 2 * bound + 1
-    total = base ** k
-    for lo in range(0, total, _LATTICE_CHUNK):
-        rem = np.arange(lo, min(lo + _LATTICE_CHUNK, total), dtype=np.int64)
-        digits = np.empty((rem.size, k), dtype=np.int64)
-        for j in range(k - 1, -1, -1):
-            digits[:, j] = rem % base
-            rem = rem // base
-        yield digits - bound
+def _grid_sums(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """t_1[i_1] + ... + t_k[i_k] over every choice of indices, in itertools.product order.
+
+    The lab's one lattice enumerator: riesz builds its half-sum tables with
+    it, and torus imports nothing from riesz.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    for t in tables:
+        sums = (sums[:, None] + t).ravel()
+    return sums
 
 
 def independence_check(K: FiniteFrequencySet, coeff_bound: int) -> IndependenceVerdict:
-    """Exhaustively test weak independence over |n_j| <= coeff_bound.
+    """Test weak independence over |n_j| <= coeff_bound by meet-in-the-middle.
 
-    For exact rationals the test is exact: whenever sum n_j lambda_j is an
-    integer, every n_j lambda_j must be one.  Any float frequency degrades
-    the verdict to inconclusive; a near-dependence hit (tolerance 1e-9) is
-    reported as the witness.
+    Rationals get an exact verdict: whenever sum n_j lambda_j is an integer,
+    every n_j lambda_j must be one.  A float frequency makes it inconclusive,
+    with a near-dependence (within 1e-9) as the witness.  Either witness has
+    the least sum |n_j|, then canonical sign and the least tuple(-n).  The
+    larger half of K may span at most 1e6 vectors.
     """
     k = len(K)
-    if k == 0:
-        return IndependenceVerdict("independent")
-    if k > 12:
-        raise OutOfRange(f"|K| must be <= 12, got {k}")
-    if coeff_bound > 20:
-        raise OutOfRange(f"coeff_bound must be <= 20, got {coeff_bound}")
-    n_vectors = (2 * coeff_bound + 1) ** k
-    if n_vectors > 10 ** 8:
-        raise BudgetExceeded(f"{n_vectors} vectors exceed the 1e8 search budget")
+    if k > 12 or not 0 <= coeff_bound <= 20:
+        raise OutOfRange(f"need |K| <= 12 and 0 <= coeff_bound <= 20, got {k} and {coeff_bound}")
+    half, width = k // 2, 2 * coeff_bound + 1
+    if width ** (k - half) > _HALF_TABLE_BUDGET:
+        raise BudgetExceeded(f"{width ** (k - half)} half-table entries exceed the 1e6 budget")
 
-    if K.all_rational():
-        L = math.lcm(*(f.denominator for f in K.freqs))
-        a = [f.numerator * (L // f.denominator) for f in K.freqs]
-        # exact Python-int arithmetic where n_j a_j could overflow int64
-        a_arr = np.array(a, dtype=np.int64 if L * coeff_bound * k < 2 ** 62 else object)
-        witnesses = set()
-        for vecs in _lattice_vectors(k, coeff_bound):
-            terms = vecs * a_arr  # n_j * a_j, integer
-            bad = (terms.sum(axis=1) % L == 0) & ~np.all(terms % L == 0, axis=1)
-            witnesses.update(_canonical_sign(tuple(int(x) for x in row)) for row in vecs[bad])
-        if witnesses:
-            best = min(witnesses, key=lambda v: (sum(abs(x) for x in v), tuple(-x for x in v)))
-            return IndependenceVerdict("dependent", best)
-        return IndependenceVerdict("independent")
+    cs, rational = range(-coeff_bound, coeff_bound + 1), K.all_rational()
+    if rational:
+        mod, tol = math.lcm(*(f.denominator for f in K.freqs)), 0
+        # exact Python-int arithmetic where a half's residue sums could overflow int64
+        dtype = np.int64 if mod * k < 2 ** 62 else object
+        res = [np.array([int(c * f * mod) % mod for c in cs], dtype=dtype) for f in K.freqs]
+        nontrivial = [r != 0 for r in res]
+    else:
+        mod, tol = 1.0, 1e-9
+        terms = [np.array(cs) * lam for lam in K.values()]
+        res = [t % 1.0 for t in terms]
+        nontrivial = [np.abs(t - np.round(t)) > tol for t in terms]
+    # per half: the residue, level sum |n_j| and nontrivial-term count of every entry, kept
+    # as group 2 l + f = (residues ascending, indices) at level l and nontrivial flag f
+    groups = []
+    for j0, j1, sign in ((0, half, -1), (half, k, 1)):
+        r = sign * _grid_sums(res[j0:j1]) % mod  # the left half looks up the opposite residue
+        g = 2 * _grid_sums([np.abs(np.array(cs))] * (j1 - j0)) + (_grid_sums(nontrivial[j0:j1]) > 0)
+        # residues within tol of 0 or mod repeat past the other end: floats match across the wrap
+        idx = np.concatenate([np.arange(r.size), np.flatnonzero(r < tol), np.flatnonzero(r > mod - tol)])
+        r = np.concatenate([r, r[r < tol] + mod, r[r > mod - tol] - mod])
+        order = np.lexsort((r, g[idx]))
+        cuts = np.searchsorted(g[idx][order], np.arange(2 * (j1 - j0) * coeff_bound + 3))
+        groups.append([(r[order[a:b]], idx[order[a:b]]) for a, b in zip(cuts[:-1], cuts[1:])])
 
-    # float path: can never certify independence
-    lam = K.values()
-    for vecs in _lattice_vectors(k, coeff_bound):
-        terms = vecs * lam
-        total = terms.sum(axis=1)
-        total_hit = np.abs(total - np.round(total)) <= 1e-9
-        each_int = np.abs(terms - np.round(terms)) <= 1e-9
-        bad = total_hit & ~np.all(each_int, axis=1)
-        if np.any(bad):
-            witness = _canonical_sign(tuple(int(x) for x in vecs[bad][0]))
-            return IndependenceVerdict("inconclusive", witness)
-    return IndependenceVerdict("inconclusive")
+    for s in range(1, k * coeff_bound + 1):
+        best = -1  # product-order index of the whole vector; its order is lexicographic
+        for p in range(max(0, s - (k - half) * coeff_bound), min(s, half * coeff_bound) + 1):
+            for fl, fr in ((1, 1), (1, 0), (0, 1)):
+                (tl, il), (rs, ir) = groups[0][2 * p + fl], groups[1][2 * (s - p) + fr]
+                lo, hi = np.searchsorted(rs, tl - tol, "left"), np.searchsorted(rs, tl + tol, "right")
+                hit = np.flatnonzero(hi > lo)
+                if hit.size:
+                    h = hit[np.argmax(il[hit])]
+                    best = max(best, int(il[h]) * width ** (k - half) + int(ir[lo[h]:hi[h]].max()))
+        if best >= 0:
+            vec = tuple(int(x) - coeff_bound for x in np.unravel_index(best, (width,) * k))
+            return IndependenceVerdict("dependent" if rational else "inconclusive", _canonical_sign(vec))
+    return IndependenceVerdict("independent" if rational else "inconclusive")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helson_lab import riesz
+from helson_lab import riesz, torus
 from helson_lab.errors import NotDissociate, OutOfRange
 from helson_lab.riesz import (
     RieszProductSpec,
@@ -88,6 +88,42 @@ def test_alpha_domain():
         RieszProductSpec(1.5, (3, 9))
     with pytest.raises(OutOfRange):
         RieszProductSpec(0.0, (3, 9))
+
+
+def _signed_sums_oracle(freqs, coeffs) -> np.ndarray:
+    """The former riesz._signed_sums: all sums sum_j c_j n_j with each c_j over coeffs, as int64."""
+    cs = np.array(coeffs, dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for n in freqs:
+        sums = (sums[:, None] + np.int64(n) * cs[None, :]).ravel()
+    return sums
+
+
+@pytest.mark.parametrize("freqs", [
+    (5,), (5, 8), (5, 8, 12), tuple(3 ** j for j in range(1, 13)),
+    _random_dissociate_spec(np.random.default_rng(4), 9, 0.5).freqs,
+    _random_dissociate_spec(np.random.default_rng(5), 12, 0.5).freqs,
+])
+def test_tables_from_shared_enumerator_equal_signed_sums(freqs, monkeypatch):
+    half = len(freqs) // 2
+    parts = (freqs[:half], freqs[half:])
+    built = []
+
+    def record(tables):
+        built.append(torus._grid_sums(tables))
+        return built[-1]
+
+    monkeypatch.setattr(riesz, "_grid_sums", record)
+    riesz._certify_dissociate(freqs)
+    for got, part in zip(built, parts):
+        want = _signed_sums_oracle(part, (-2, -1, 0, 1, 2))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for (sums, nnz), part in zip(riesz._mitm_tables.__wrapped__(freqs), parts):
+        want = _signed_sums_oracle(part, (0, 1, -1))
+        order = np.argsort(want, kind="stable")
+        want_nnz = _signed_sums_oracle((1,) * len(part), (0, 1, 1))[order]
+        assert sums.dtype == nnz.dtype == np.int64
+        assert np.array_equal(sums, want[order]) and np.array_equal(nnz, want_nnz)
 
 
 # ---------------------------------------------------------------------------

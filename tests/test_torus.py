@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helson_lab import torus
 from helson_lab.errors import BudgetExceeded, DimensionTooLarge, OutOfRange
 from helson_lab.torus import (
     FLOAT_FREQ_TOL,
@@ -68,7 +69,7 @@ def test_measure_rejects_duplicate_frequency():
     (json.loads("-3"), 0.0),
     (1.25, 0.25),
     (-0.25, 0.75),
-    (-1e-20, 1.0),  # float rounding of 1 - 1e-20
+    (-1e-20, 0.0),  # 1 - 1e-20 rounds to 1.0, which reduces to 0.0
 ])
 def test_parse_frequency_reduces_mod_one(value, parsed):
     got = parse_frequency(value)
@@ -78,7 +79,7 @@ def test_parse_frequency_reduces_mod_one(value, parsed):
 @pytest.mark.parametrize("value, in_measure, in_set", [
     (1.25, 0.25, 0.25),
     (-0.25, 0.75, 0.75),
-    (-1e-20, 1.0, 1.0),
+    (-1e-20, 0.0, 0.0),
     (3, 0.0, Fraction(0)),  # a Python int stays exact in a frequency set only
     (-2, 0.0, Fraction(0)),
     (Fraction(7, 3), Fraction(1, 3), Fraction(1, 3)),
@@ -404,31 +405,36 @@ def test_independence_deterministic():
 
 
 def _independence_oracle(K: FiniteFrequencySet, bound: int) -> IndependenceVerdict:
-    """itertools enumeration of [-bound, bound]^k with Python-int arithmetic."""
+    """itertools enumeration of [-bound, bound]^k with Python-int arithmetic.
+
+    Both paths report the least sum |n_j| witness, then the least tuple(-n)
+    among canonical signs; floats test each vector's unreduced sums within 1e-9.
+    """
     vectors = itertools.product(range(-bound, bound + 1), repeat=len(K))
+    witnesses = set()
     if K.all_rational():
         L = math.lcm(*(f.denominator for f in K.freqs))
         a = [f.numerator * (L // f.denominator) for f in K.freqs]
-        witnesses = set()
         for vec in vectors:
             terms = [n * aj for n, aj in zip(vec, a)]
             if sum(terms) % L == 0 and any(t % L != 0 for t in terms):
                 witnesses.add(_canonical_sign(vec))
-        if witnesses:
-            return IndependenceVerdict(
-                "dependent", min(witnesses, key=lambda v: (sum(map(abs, v)), tuple(-x for x in v)))
-            )
-        return IndependenceVerdict("independent")
-    lam = K.values()
-    for vec in vectors:
-        terms = np.array(vec, dtype=float) * lam
-        total = terms.sum()
-        if abs(total - round(total)) <= 1e-9 and np.any(np.abs(terms - np.round(terms)) > 1e-9):
-            return IndependenceVerdict("inconclusive", _canonical_sign(vec))
-    return IndependenceVerdict("inconclusive")
+        found, none = "dependent", "independent"
+    else:
+        lam = K.values()
+        for vec in vectors:
+            terms = np.array(vec, dtype=float) * lam
+            total = terms.sum()
+            if abs(total - round(total)) <= 1e-9 and np.any(np.abs(terms - np.round(terms)) > 1e-9):
+                witnesses.add(_canonical_sign(vec))
+        found = none = "inconclusive"
+    if witnesses:
+        best = min(witnesses, key=lambda v: (sum(map(abs, v)), tuple(-x for x in v)))
+        return IndependenceVerdict(found, best)
+    return IndependenceVerdict(none)
 
 
-MERSENNE_61 = 2 ** 61 - 1  # lcm * bound * |K| past 2^62: exact Python-int path
+MERSENNE_61 = 2 ** 61 - 1  # lcm * |K| reaches 2^62 in most rows below: the exact Python-int path
 
 
 @pytest.mark.parametrize(
@@ -446,6 +452,9 @@ MERSENNE_61 = 2 ** 61 - 1  # lcm * bound * |K| past 2^62: exact Python-int path
         ((1 / 3, 2 / 3), 3),
         ((np.sqrt(2) - 1, np.sqrt(3) - 1), 10),
         ((0.25, Fraction(1, 3), 0.125), 4),
+        # 0.3 + (0.7 - 5e-10) sits just below 1: the witness (0, 0, 1, 1, 0) joins
+        # its halves only across the wrap at 0, and its negation is not canonical
+        ((math.sqrt(2) - 1, math.sqrt(3) - 1, 0.3, 0.7 - 5e-10, 0.7), 1),
     ],
 )
 def test_independence_matches_itertools_oracle(freqs, bound):
@@ -458,10 +467,57 @@ def test_independence_overflow_path_is_exact():
     assert independence_check(K, 3) == IndependenceVerdict("dependent", (1, 1))
 
 
-def test_independence_budget():
+@pytest.mark.parametrize("k, bound", [(13, 1), (2, 21), (2, -1)])
+def test_independence_envelope(k, bound):
+    K = FiniteFrequencySet(tuple(Fraction(1, p) for p in range(2, 2 + k)))
+    with pytest.raises(OutOfRange):
+        independence_check(K, bound)
+
+
+def test_independence_budget(monkeypatch):
+    # |K| = 7 at bound 20: the larger half would hold 41^4 = 2.8M entries; refused before any table
+    def enumerate_tables(tables):
+        raise AssertionError("a half table was built")
+
+    monkeypatch.setattr(torus, "_grid_sums", enumerate_tables)
     K = FiniteFrequencySet(tuple(Fraction(1, p) for p in (3, 5, 7, 11, 13, 17, 19)))
     with pytest.raises(BudgetExceeded):
         independence_check(K, 20)
+
+
+_rationals_up_to_12 = st.integers(1, 12).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rationals_up_to_12, min_size=1, max_size=6, unique=True), st.integers(1, 4))
+def test_independence_matches_oracle_on_random_rationals(freqs, bound):
+    K = FiniteFrequencySet(tuple(freqs))
+    assert independence_check(K, bound) == _independence_oracle(K, bound)
+
+
+def test_independence_largest_half_of_the_old_budget():
+    # |K| = 5 at bound 19 (90.2M vectors, admitted by the old 1e8 budget): its
+    # larger half of 39^3 = 59,319 entries sits under the 1e6 cap
+    K = FiniteFrequencySet(tuple(Fraction(1, p) for p in (3, 5, 7, 11, 13)))
+    assert independence_check(K, 19) == IndependenceVerdict("independent")
+    K = FiniteFrequencySet(tuple(map(Fraction, ("1/3", "1/5", "2/15", "1/19", "4/23"))))
+    assert independence_check(K, 19) == IndependenceVerdict("dependent", (1, -1, -1, 0, 0))
+
+
+def test_independence_many_trivial_matches():
+    # lcm 30030 over 21^3 entries per half: many residues match, each match
+    # of two trivial entries is skipped, and every level is visited
+    K = FiniteFrequencySet(tuple(Fraction(1, p) for p in (2, 3, 5, 7, 11, 13)))
+    assert independence_check(K, 10) == IndependenceVerdict("independent")
+
+
+def test_independence_corner_past_old_budget():
+    # the corner has 21^6 = 85.8M vectors; 1/2 .. 1/19 at bound 6 has 13^8 = 816M, past the old 1e8 budget
+    K = FiniteFrequencySet(tuple(map(Fraction, ("1/3", "1/5", "2/15", "1/19", "4/23", "6/29"))))
+    assert independence_check(K, 10) == IndependenceVerdict("dependent", (1, -1, -1, 0, 0, 0))
+    K = FiniteFrequencySet(tuple(Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19)))
+    assert independence_check(K, 6) == IndependenceVerdict("independent")
 
 
 # ---------------------------------------------------------------------------
