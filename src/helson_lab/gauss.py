@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import OutOfRange
-from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _phasor_table, _synthesize
+from .torus import AtomicCircleMeasure, _amplitudes_at, _block_phasors, _phasor_table, _reduce, _synthesize
 
 _BATCHES = 32  # batch-means blocks for time standard errors
 # samples per chunk of _lag_sums' pass: cache-sized, and a dot this long
@@ -66,12 +66,6 @@ def _validated_spectrum(spectrum: AtomicCircleMeasure) -> Tuple[np.ndarray, np.n
     return lam[order], w.real[order]
 
 
-def _check_len(T_len: int) -> int:
-    if T_len < 1 or T_len > 10 ** 7:
-        raise OutOfRange(f"T_len must be in 1..1e7, got {T_len}")
-    return int(T_len)
-
-
 @dataclass(frozen=True)
 class _AtomicModel:
     spectrum: AtomicCircleMeasure
@@ -80,7 +74,8 @@ class _AtomicModel:
 
     def __post_init__(self):
         _validated_spectrum(self.spectrum)
-        _check_len(self.T_len)
+        if self.T_len < 1 or self.T_len > 10 ** 7:
+            raise OutOfRange(f"T_len must be in 1..1e7, got {self.T_len}")
 
     @cached_property
     def _atoms(self) -> Tuple[np.ndarray, np.ndarray, Optional[list]]:
@@ -115,8 +110,7 @@ class RandomPhaseModel(_AtomicModel):
 def simulate(model) -> np.ndarray:
     """Length-T_len realization; deterministic in model.seed."""
     lam, amps, table = model._atoms
-    T = _check_len(model.T_len)
-    return _synthesize(table or _block_phasors(lam, T), amps, T)
+    return _synthesize(table or _block_phasors(lam, model.T_len), amps, model.T_len)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,7 @@ def spectral_process(model, thresholds: Sequence[float]) -> Tuple[np.ndarray, ..
     if ts[0] < 0.0 or ts[-1] > 1.0:
         raise OutOfRange("thresholds must lie in [0, 1]")
     lam, amps, table = model._atoms
-    T = _check_len(model.T_len)
+    T = model.T_len
 
     def window(m):
         # column subsets in C order, the layout of a fresh build (base[:, m] is F-ordered)
@@ -539,7 +533,7 @@ def gaussianity_test(seq: np.ndarray, k_max: int, freqs: Sequence[float], model=
     seq = np.asarray(seq)
     totals, _ = _power_block_sums(seq, k_max)
     m2 = float(totals[0])
-    lams = np.array([float(l) % 1.0 for l in freqs])
+    lams = np.array([_reduce(l) for l in freqs], dtype=float)
     shared = model is not None and model.T_len == seq.size and np.array_equal(model._atoms[0], lams)
     W = np.abs(_amplitudes_at(seq, lams, model._atoms[2] if shared else None)) ** 2
 

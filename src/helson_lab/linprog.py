@@ -54,7 +54,6 @@ def dense_entries(rows: int, cols: int) -> int:
 
 @dataclass
 class LPResult:
-    status: str
     x: np.ndarray
     objective: float
     duals_eq: np.ndarray
@@ -122,4 +121,4 @@ def lp_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
     dual_obj = float(b_eq @ duals_eq + b_ub @ duals_ub)
     gap = abs(objective - dual_obj)
     iters = int(res.nit) + int(res.crossover_nit or 0)  # interior point + crossover
-    return LPResult("optimal", x, objective, duals_eq, duals_ub, iters, gap)
+    return LPResult(x, objective, duals_eq, duals_ub, iters, gap)

@@ -34,6 +34,7 @@ from .torus import (
     SparseTrigPoly,
     _circle_dist,
     _mu_hat_scan,
+    _reduce,
     a_norm_lattice,
     golden_min,
     grid_values,
@@ -44,6 +45,7 @@ Scan = Callable[[np.ndarray], np.ndarray]  # weights (|K|,) or (R, |K|) -> mu_ha
 _COS8 = math.cos(math.pi / 8.0)
 _GRID_ELEMS = 1 << 17  # candidates x columns per product of _affine_sup: 1 MB, cache-sized
 _POINT_TOL = 1e-6  # constraint residual tolerance at solution points
+_MATCH_TOL = 1e-9  # circle distance at which apply_projector counts an eigenvalue as in K
 # octagonal ceilings over the variable blocks (p, q, u, w, r) of one coefficient
 _OCTAGON = np.array([
     [1.0, 1.0, 0.0, 0.0, -1.0],
@@ -422,7 +424,7 @@ def approx_indicator(
     if not (0.0 < epsilon < 1.0):
         raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
     lamK = K.values()
-    ts = np.array([float(t) % 1.0 for t in F_samples], dtype=float)
+    ts = np.array([_reduce(t) for t in F_samples], dtype=float)
     min_sep = min(
         (_circle_dist(a, t) for a in lamK for t in ts), default=np.inf
     )
@@ -464,8 +466,9 @@ def projector_series(
     solved once by run_tasks (HiGHS releases the GIL), smallest first since
     those take the most iterations, and shared (e^{-2*2} == e^{-1*4}).  Each
     stage in flight holds its own LP and HiGHS memory.  Each series comes
-    back in eps order, its consecutive sup differences on K u F re-checked
-    against 2 eps_k.  One ladder is projector_series(K, F, [p], ...)[0].
+    back in eps order, its consecutive sup differences on K u F checked
+    against 2 eps_k (OutOfRange otherwise; acceptance criterion 5 reports
+    this check).  One ladder is projector_series(K, F, [p], ...)[0].
     """
     if not ps:
         raise OutOfRange("ps must hold at least one p")
@@ -513,7 +516,7 @@ class RotationModel:
         )
 
     def eigenvalue(self, m: int) -> float:
-        return (m * self.alpha_rot) % 1.0
+        return _reduce(m * self.alpha_rot)
 
     def poly(self) -> SparseTrigPoly:
         return SparseTrigPoly(1, {(m,): cm for m, cm in self.modes})
@@ -522,20 +525,18 @@ class RotationModel:
         return math.sqrt(sum(abs(cm) ** 2 for _, cm in self.modes))
 
 
-def apply_projector(
-    model: RotationModel, K: FiniteFrequencySet, tol_match: float
-) -> Tuple[SparseTrigPoly, List[int]]:
+def apply_projector(model: RotationModel, K: FiniteFrequencySet) -> Tuple[SparseTrigPoly, List[int]]:
     """Exact spectral projector on the rotation model: a Fourier-mode filter.
 
-    Keeps mode m iff its eigenvalue is within tol_match of K (circle
-    metric); K is fattened by tol_match so membership is decidable in
-    floats.
+    Keeps mode m iff its eigenvalue is within the fixed 1e-9 (_MATCH_TOL)
+    of K (circle metric); K is fattened by 1e-9 so membership is decidable
+    in floats.
     """
     lamK = K.values()
     kept = [
         m
         for m, _ in model.modes
-        if lamK.size and min(_circle_dist(model.eigenvalue(m), lam) for lam in lamK) <= tol_match
+        if lamK.size and min(_circle_dist(model.eigenvalue(m), lam) for lam in lamK) <= _MATCH_TOL
     ]
     kept_set = set(kept)
     coeffs = {(m,): cm for m, cm in model.modes if m in kept_set}
@@ -562,13 +563,7 @@ def l2_coeff_distance(f: SparseTrigPoly, g: SparseTrigPoly) -> float:
     )
 
 
-def lp_norm_growth(
-    model: RotationModel,
-    K: FiniteFrequencySet,
-    p_list: Sequence[float],
-    grid: int,
-    tol_match: float = 1e-9,
-) -> dict:
+def lp_norm_growth(model: RotationModel, K: FiniteFrequencySet, p_list: Sequence[float], grid: int) -> dict:
     """Table of ||pi_K f||_p / ||f||_p with the least C fitting ratio <= C p.
 
     The norms are grid averages with modes folded mod grid, so the grid
@@ -587,7 +582,7 @@ def lp_norm_growth(
         vals = np.abs(grid_values(poly, grid))
         return {p: float(np.mean(vals ** p) ** (1.0 / p)) for p in ps}
 
-    pf, kept = apply_projector(model, K, tol_match)
+    pf, kept = apply_projector(model, K)
     nf, npf = norms(f), norms(pf)
     rows = []
     least_c = 0.0

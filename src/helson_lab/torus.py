@@ -291,10 +291,11 @@ def l1_norm_monte_carlo(p, samples: int, seed: int) -> Tuple[float, float]:
     """Monte Carlo estimate of the L^1 norm with standard error.
 
     p is any function on T^dim with a ``dim`` and a vectorised
-    ``evaluate(points)``, such as a SparseTrigPoly or a
-    drury.DruryFunction.  High-dimension fallback for l1_norm_torus;
-    deterministic given seed: the points are one default_rng(seed) stream
-    whatever the chunking.
+    ``evaluate(points)`` that bounds its own scratch space, such as a
+    SparseTrigPoly or a drury.DruryFunction, so the points are drawn in
+    chunks of _EVAL_CHUNK_ENTRIES // dim, which bound only the sample array.
+    High-dimension fallback for l1_norm_torus; deterministic given seed: the
+    points are one default_rng(seed) stream whatever the chunking.
     """
     if samples < 1000:
         raise OutOfRange(f"samples must be >= 1000, got {samples}")
@@ -302,10 +303,7 @@ def l1_norm_monte_carlo(p, samples: int, seed: int) -> Tuple[float, float]:
     total = 0.0
     total_sq = 0.0
     remaining = int(samples)
-    # a SparseTrigPoly scratch matrix holds points x terms entries; any
-    # other evaluator bounds its own scratch, so only the points count
-    width = len(p.coeffs) if isinstance(p, SparseTrigPoly) else p.dim
-    chunk_pts = max(1, _EVAL_CHUNK_ENTRIES // max(1, width))
+    chunk_pts = max(1, _EVAL_CHUNK_ENTRIES // p.dim)
     while remaining > 0:
         take = min(chunk_pts, remaining)
         pts = rng.random((take, p.dim))

@@ -203,6 +203,17 @@ def test_gaussianity_reads_the_table_only_where_it_fits():
     assert [c.args[2] is model._atoms[2] for c in spy.call_args_list] == [True, False, False]
 
 
+def test_gaussianity_reduces_tiny_negative_frequency_to_zero():
+    # float(-1e-20) % 1.0 rounds to 1.0; reduced to 0.0 it is the model's
+    # first atom, so the test reads the model's table
+    model = G.GaussianModel(spectrum=AtomicCircleMeasure.from_pairs([(0.0, 0.5), (0.5, 0.5)]), T_len=1_000, seed=1)
+    seq = G.simulate(model)
+    with mock.patch.object(G, "_amplitudes_at", wraps=G._amplitudes_at) as spy:
+        G.gaussianity_test(seq, 2, freqs=[-1e-20, 0.5], model=model)
+    (_, lams, table), _ = spy.call_args
+    assert lams.tolist() == [0.0, 0.5] and table is model._atoms[2]
+
+
 def test_simulate_deterministic_in_seed():
     m = G.GaussianModel(spectrum=SPEC8, T_len=5_000, seed=21)
     assert np.array_equal(G.simulate(m), G.simulate(m))

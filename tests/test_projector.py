@@ -6,6 +6,7 @@ import math
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,6 +205,12 @@ def test_indicator_octagon_sandwich(golden_inds):
 
 def test_indicator_norm_monotone_in_eps(golden_inds):
     assert golden_inds[0.01].a_norm >= golden_inds[0.1].a_norm - 1e-9
+
+
+def test_indicator_reduces_tiny_negative_sample_to_zero():
+    # float(-1e-20) % 1.0 rounds to 1.0, outside [0, 1)
+    ind = approx_indicator(FiniteFrequencySet((0.5,)), [-1e-20], 0.1, 8)
+    assert ind.F_samples == (0.0,)
 
 
 def test_indicator_resolution_guard():
@@ -560,6 +567,21 @@ def test_series_sup_differences(golden_kf):
         assert d <= 2.0 * eps_k + 1e-6
 
 
+def test_series_refuses_a_sup_difference_past_two_eps(monkeypatch):
+    # a second stage 1 away from the first on K breaks |phi_1 - phi_2| <= 2 eps_1
+    K, F = FiniteFrequencySet((Fraction(0),)), [0.4, 0.6]
+    real, bad = projector.approx_indicator, math.exp(-4.0)
+
+    def stages(K, F_samples, epsilon, degree):
+        if epsilon == bad:
+            return SimpleNamespace(epsilon=epsilon, phi=SparseTrigPoly(1, {(0,): 2.0}))
+        return real(K, F_samples, epsilon, degree)
+
+    monkeypatch.setattr(projector, "approx_indicator", stages)
+    with pytest.raises(OutOfRange, match="violates the 2 eps_k bound at k=1"):
+        projector_series(K, F, [2.0], 2, 4)
+
+
 def test_series_pool_matches_one_worker(golden_kf, monkeypatch, two_workers):
     K, F = golden_kf
     two = projector_series(K, F, [2.0], 3, 24)[0]
@@ -643,12 +665,16 @@ def test_model_spectral_measure_weights():
     assert model.l2_norm() == pytest.approx(math.sqrt(sum(abs(c) ** 2 for _, c in model.modes)))
 
 
+def test_eigenvalue_reduces_tiny_negative_to_zero():
+    assert RotationModel(1e-20, ((-1, 1.0),)).eigenvalue(-1) == 0.0
+
+
 def test_projector_idempotent():
     model = _model()
     K = FiniteFrequencySet(tuple(model.eigenvalue(m) for m in (2, 5)))
-    pf, kept = apply_projector(model, K, tol_match=1e-9)
+    pf, kept = apply_projector(model, K)
     model2 = RotationModel(model.alpha_rot, tuple((m, pf.coeffs[(m,)]) for m in kept))
-    pf2, kept2 = apply_projector(model2, K, tol_match=1e-9)
+    pf2, kept2 = apply_projector(model2, K)
     assert kept2 == kept
     assert l2_coeff_distance(pf2, pf) == 0.0
 
@@ -658,10 +684,10 @@ def test_projectors_commute_as_intersection():
     K1 = FiniteFrequencySet(tuple(model.eigenvalue(m) for m in (1, 2, 3)))
     K2 = FiniteFrequencySet(tuple(model.eigenvalue(m) for m in (3, 4)))
     K12 = FiniteFrequencySet((model.eigenvalue(3),))
-    pf1, kept1 = apply_projector(model, K1, tol_match=1e-9)
+    pf1, kept1 = apply_projector(model, K1)
     inner = RotationModel(model.alpha_rot, tuple((m, pf1.coeffs[(m,)]) for m in kept1))
-    pf12, kept12 = apply_projector(inner, K2, tol_match=1e-9)
-    pf_direct, kept_direct = apply_projector(model, K12, tol_match=1e-9)
+    pf12, kept12 = apply_projector(inner, K2)
+    pf_direct, kept_direct = apply_projector(model, K12)
     assert kept12 == kept_direct == [3]
     assert l2_coeff_distance(pf12, pf_direct) == 0.0
 
@@ -669,28 +695,29 @@ def test_projectors_commute_as_intersection():
 def test_projector_conjugation_inverts_frequencies():
     model = _model()
     K = FiniteFrequencySet(tuple(model.eigenvalue(m) for m in (2, 6)))
-    _, kept = apply_projector(model, K, tol_match=1e-9)
+    _, kept = apply_projector(model, K)
     conj_model = RotationModel(model.alpha_rot, tuple((-m, c.conjugate()) for m, c in model.modes))
     K_inv = FiniteFrequencySet(tuple(-f for f in K.freqs))
-    _, kept_conj = apply_projector(conj_model, K_inv, tol_match=1e-9)
+    _, kept_conj = apply_projector(conj_model, K_inv)
     assert sorted(kept_conj) == sorted(-m for m in kept)
 
 
 def test_projector_tol_match_fattening():
+    # K is fattened by the fixed match tolerance 1e-9, from both sides:
+    # an eigenvalue 5e-10 off K is kept, one 2e-9 off is not
     model = _model()
-    lam = model.eigenvalue(3) + 5e-10
-    K = FiniteFrequencySet((lam,))
-    _, kept_loose = apply_projector(model, K, tol_match=1e-9)
-    _, kept_tight = apply_projector(model, K, tol_match=1e-12)
-    assert kept_loose == [3] and kept_tight == []
+    assert projector._MATCH_TOL == 1e-9
+    for offset, want in ((5e-10, [3]), (-5e-10, [3]), (2e-9, []), (-2e-9, [])):
+        _, kept = apply_projector(model, FiniteFrequencySet((model.eigenvalue(3) + offset,)))
+        assert kept == want, offset
 
 
 def test_projector_trivial_cases():
     model = _model()
-    _, kept_none = apply_projector(model, FiniteFrequencySet((0.123456789,)), tol_match=1e-9)
+    _, kept_none = apply_projector(model, FiniteFrequencySet((0.123456789,)))
     assert kept_none == []
     K_all = FiniteFrequencySet(tuple(model.eigenvalue(m) for m, _ in model.modes))
-    pf_all, kept_all = apply_projector(model, K_all, tol_match=1e-9)
+    pf_all, kept_all = apply_projector(model, K_all)
     assert kept_all == [m for m, _ in model.modes]
     assert l2_coeff_distance(pf_all, model.poly()) == 0.0
 
@@ -703,7 +730,7 @@ def test_filter_matches_projector_within_eps():
     F = [e for e in eigs if e not in set(Kp)]
     ind = approx_indicator(K, F, 0.01, degree=12)
     filt = filter_with_indicator(model, ind.phi)
-    exact, _ = apply_projector(model, K, tol_match=1e-9)
+    exact, _ = apply_projector(model, K)
     assert l2_coeff_distance(filt, exact) <= 0.01 * model.l2_norm()
 
 
