@@ -96,14 +96,13 @@ def check_drury_pipeline(seed: int) -> dict:
     mela = {eps: solve_mela(eps) for eps in (0.1, 0.01)}
     for n in (3, 6, 10):
         for eps, (sigma, cert) in mela.items():
+            # mix_drury refuses basis_err > 1e-8 and off > eps + 1e-8; both are still reported
             d = mix_drury(n, sigma, eps)
             # every basis point -e_j carries the pruned stratum-0 moment
             basis_err = abs(d._pruned_moments()[0] - 1.0)
             off = d.max_off_basis()
             mc, se = l1_norm_monte_carlo(d, 8000, seed=seed + 11 * n)
-            passed = bool(
-                basis_err <= 1e-8 and off <= eps + 1e-8 and mc <= cert.tv + 3.0 * se
-            )
+            passed = bool(mc <= cert.tv + 3.0 * se)
             ok = ok and passed
             rows.append(
                 {
@@ -168,8 +167,7 @@ def check_riesz_oracle(seed: int) -> dict:
         dense = dense_coefficient_oracle(spec, grid)
         expected = np.zeros(grid, dtype=complex)
         ms, coeffs = full_support(spec)
-        for m, c in zip(ms, coeffs):
-            expected[int(m) % grid] += c
+        expected[ms % grid] += coeffs  # distinct mod grid: dissociate, every |m| < grid / 2
         err = float(np.max(np.abs(dense - expected)))
         passed = bool(err <= 1e-10)
         ok = ok and passed

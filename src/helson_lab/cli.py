@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,6 +123,8 @@ def _load_input(path: str, cls):
     """cls.from_json_dict of the JSON file at path; a wrongly shaped file is a ConfigParse naming it."""
     data = load_json(path)
     try:
+        if cls is SignedGridMeasure and "measure" in data:  # the mela.json that `mela` writes
+            data = data["measure"]
         return cls.from_json_dict(data)
     except (KeyError, TypeError) as exc:
         raise ConfigParse(f"input file {path} is not a {cls.__name__}: {type(exc).__name__}: {exc}")
@@ -132,7 +134,7 @@ def _load_input(path: str, cls):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_mela(args) -> int:
+def _cmd_mela(args) -> Tuple[int, List[str]]:
     outputs = []
     status = 0
     if args.sweep is not None:
@@ -164,11 +166,10 @@ def _cmd_mela(args) -> int:
         )
         if not cert.valid:
             status = 1
-    args._outputs = outputs
-    return status
+    return status, outputs
 
 
-def _cmd_drury(args) -> int:
+def _cmd_drury(args) -> Tuple[int, List[str]]:
     sigma = _load_input(args.sigma, SignedGridMeasure) if args.sigma else solve_mela(args.epsilon)[0]
     d = mix_drury(args.n, sigma, args.epsilon)
     mc, se = l1_norm_monte_carlo(d, 8000, seed=args.seed)
@@ -184,28 +185,26 @@ def _cmd_drury(args) -> int:
     }
     path = os.path.join(args.out, "drury.json")
     _write_json(path, {"function": d.to_json_dict(), "report": report})
-    args._outputs = [path]
     print(
         f"drury n={args.n} eps={args.epsilon}: off-basis max {report['max_off_basis']:.4g}, "
         f"a-norm bound {d.a_norm_bound:.4f}, MC L1 {mc:.4f} (se {se:.4f})"
     )
-    return 0
+    return 0, [path]
 
 
-def _cmd_helson_constant(args) -> int:
+def _cmd_helson_constant(args) -> Tuple[int, List[str]]:
     K = _load_input(args.K, FiniteFrequencySet)
     est = helson_constant(K, g_range=args.grange, restarts=args.restarts, seed=args.seed)
     path = os.path.join(args.out, "helson_constant.json")
     _write_json(path, est.to_json_dict())
-    args._outputs = [path]
     print(
         f"helson-constant |K|={len(K)} g_range={args.grange}: "
         f"alpha_upper={est.alpha_upper:.6f} (argmax g={est.argmax_g})"
     )
-    return 0
+    return 0, [path]
 
 
-def _cmd_projector(args) -> int:
+def _cmd_projector(args) -> Tuple[int, List[str]]:
     K = _load_input(args.K, FiniteFrequencySet)
     F = list(_load_input(args.F, FiniteFrequencySet).values())
     p_list = [float(tok) for tok in args.p.split(",") if tok.strip()]
@@ -219,14 +218,13 @@ def _cmd_projector(args) -> int:
     _write_json(jpath, series_out)
     cpath = os.path.join(args.out, "projector_growth.csv")
     _write_csv(cpath, ["p", "epsilon", "a_norm", "lp_objective"], rows)
-    args._outputs = [jpath, cpath]
     print(f"projector: {len(rows)} indicator stages over p in {p_list} -> {jpath}")
     for p, eps, a, obj in rows:
         print(f"  p={p:<4g} eps={eps:.3e}  a_norm={a:.4f}  lp_obj={obj:.4f}")
-    return 0
+    return 0, [jpath, cpath]
 
 
-def _cmd_riesz(args) -> int:
+def _cmd_riesz(args) -> Tuple[int, List[str]]:
     freqs = tuple(int(tok) for tok in args.freqs.split(",") if tok.strip())
     spec = RieszProductSpec(args.alpha, freqs)
     summary = {"alpha": args.alpha, "freqs": list(freqs)}
@@ -245,16 +243,15 @@ def _cmd_riesz(args) -> int:
     _write_csv(cpath, ["m", "coeff"], [[int(m), float(c)] for m, c in zip(ms, coeffs)])
     jpath = os.path.join(args.out, "riesz.json")
     _write_json(jpath, summary)
-    args._outputs = [cpath, jpath]
     print(f"riesz alpha={args.alpha} N={len(freqs)}: support {len(ms)} -> {cpath}")
     if args.profile:
         pp = summary["power_profile"]
         print(f"  conv power k={pp['k']}: max {pp['max']:.4g} at m={pp['argmax_m']}; "
               f"rigidity ratio {ratio:.4f} at g={g}")
-    return 0
+    return 0, [cpath, jpath]
 
 
-def _cmd_gauss_sim(args) -> int:
+def _cmd_gauss_sim(args) -> Tuple[int, List[str]]:
     wanted = [tok.strip() for tok in args.report.split(",") if tok.strip()]
     for tok in wanted:
         if tok not in _GAUSS_SUBMIT_ORDER:
@@ -291,27 +288,25 @@ def _cmd_gauss_sim(args) -> int:
         dpath = os.path.join(args.out, "gauss_series.csv")
         _write_csv(dpath, ["n", "re", "im"], [[i, z.real, z.imag] for i, z in enumerate(seq)])
         outputs.append(dpath)
-    args._outputs = outputs
     bits = []
     if "moments" in wanted and 4 in report["moments"]["p_grid"]:
         bits.append(f"norm4={report['moments']['lp_norms'][1]:.4f}")
     if "gaussianity" in wanted:
         bits.append(f"gaussian_consistent={report['gaussianity']['gaussian_consistent']}")
     print(f"gauss-sim {args.model} T={args.len}: " + (", ".join(bits) if bits else "done"))
-    return 0
+    return 0, outputs
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> Tuple[int, List[str]]:
     payload, runtimes = run_acceptance(args.seed)
     path = os.path.join(args.out, "acceptance.json")
     _atomic_write(path, results_json(payload))
-    args._outputs = [path]
     for key in sorted(payload["checks"], key=int):
         c = payload["checks"][key]
         print(f"[criterion {key}] {'PASS' if c['passed'] else 'FAIL'} {c['name']} ({runtimes[key]:.1f}s)")
     print(f"[criterion 10] determinism: canonical bytes -> {path}")
     print("all passed" if payload["all_passed"] else "FAILURES present")
-    return 0 if payload["all_passed"] else 1
+    return (0 if payload["all_passed"] else 1), [path]
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +387,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         _apply_config(args)
         worker_count()  # fail fast on a malformed HELSON_LAB_THREADS
         os.makedirs(args.out, exist_ok=True)
-        status = args.func(args)
+        status, outputs = args.func(args)
         wall = time.perf_counter() - t0
-        manifest = _manifest(args, args.command, wall, getattr(args, "_outputs", []))
+        manifest = _manifest(args, args.command, wall, outputs)
         _write_json(os.path.join(args.out, "manifest.json"), manifest)
         return status
     except ConfigParse as exc:

@@ -91,6 +91,9 @@ class DruryFunction:
     Moments of modulus <= 1e-15 count as 0, as SparseTrigPoly prunes them.
     The explicit map psi is built on first use only; evaluate and
     max_off_basis never need it.
+
+    Construction is the one moment check: a moments[0] off 1 by more than
+    1e-8, or a later moment above epsilon + 1e-8, raises MomentCheckFailed.
     """
 
     dim: int
@@ -106,12 +109,13 @@ class DruryFunction:
             raise OutOfRange(
                 f"dimension {n} has {(n - 1) // 2 + 1} strata, got {len(self.moments)} moments"
             )
-        basis = self._pruned_moments()[0]
-        if abs(basis - 1.0) > _BASIS_TOL:
-            raise OutOfRange(f"basis value {basis} is not 1 within 1e-8")
-        off = self.max_off_basis()
-        if off > self.epsilon + _BASIS_TOL:
-            raise OutOfRange(f"off-basis coefficient {off} exceeds epsilon {self.epsilon}")
+        if abs(self.moments[0] - 1.0) > _BASIS_TOL:
+            raise MomentCheckFailed(f"first moment {self.moments[0]} is not 1 within 1e-8")
+        for a, value in enumerate(self.moments[1:], start=1):
+            if abs(value) > self.epsilon + _BASIS_TOL:
+                raise MomentCheckFailed(
+                    f"odd moment of order {2 * a + 1} has modulus {abs(value)} > epsilon {self.epsilon}"
+                )
 
     def _pruned_moments(self) -> np.ndarray:
         """The moments with the SparseTrigPoly prune applied."""
@@ -147,7 +151,7 @@ class DruryFunction:
             raise OutOfRange("point dimension mismatch")
         M = self._pruned_moments()
         top = M.size - 1
-        # the expansion E and its two shifted products stay within
+        # the expansion E and its two product buffers stay within
         # _EVAL_CHUNK_ENTRIES entries
         chunk = max(1, _EVAL_CHUNK_ENTRIES // (3 * (top + 1) * (top + 2)))
         out = np.empty(points.shape[0], dtype=complex)
@@ -155,9 +159,11 @@ class DruryFunction:
             u = np.exp(2j * np.pi * points[lo:lo + chunk]).T  # (dim, chunk)
             E = np.zeros((top + 1, top + 2, u.shape[1]), dtype=complex)
             E[0, 0] = 1.0
+            x_terms = np.empty_like(E[:-1])
+            y_terms = np.empty_like(E[:, :-1])
             for uj in u:
-                x_terms = uj * E[:-1]
-                y_terms = np.conj(uj) * E[:, :-1]
+                np.multiply(uj, E[:-1], out=x_terms)
+                np.multiply(np.conj(uj), E[:, :-1], out=y_terms)
                 E[1:] += x_terms
                 E[:, 1:] += y_terms
             a = np.arange(top + 1)
@@ -173,37 +179,20 @@ class DruryFunction:
         }
 
 
-def _moments_for_dim(sigma: SignedGridMeasure, n: int) -> List[float]:
-    """Odd moments integral s^{2a+1} d(sigma) for a = 0 .. floor((n-1)/2)."""
-    return [sigma.moment(2 * a + 1) for a in range(0, (n - 1) // 2 + 1)]
-
-
 def mix_drury(n: int, sigma: SignedGridMeasure, epsilon: float) -> DruryFunction:
     """Mix extract_P over sigma without expanding any P_s.
 
     psi(1_A - 1_B) = integral s^{2|A|+1} d(sigma), so only one moment per
     stratum is needed; cost is (number of strata) x (atom count), and the
-    support is enumerated only if psi is asked for.  The moments
-    that actually occur in dimension n are validated first: the first
-    moment must be 1 within 1e-8 and each higher odd moment present must
-    have modulus <= epsilon.
+    support is enumerated only if psi is asked for.  DruryFunction checks
+    the moments, so a sigma failing one raises MomentCheckFailed.
     """
     _check_dim(n)
     if not (0.0 < epsilon):
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    moments = _moments_for_dim(sigma, n)
-    if abs(moments[0] - 1.0) > _BASIS_TOL:
-        raise MomentCheckFailed(
-            f"first moment {moments[0]} is not 1 within 1e-8"
-        )
-    for a, value in enumerate(moments[1:], start=1):
-        if abs(value) > epsilon + _BASIS_TOL:
-            raise MomentCheckFailed(
-                f"odd moment of order {2 * a + 1} has modulus {abs(value)} > epsilon {epsilon}"
-            )
     return DruryFunction(
         dim=n,
-        moments=tuple(moments),
+        moments=tuple(sigma.moment(2 * a + 1) for a in range(0, (n - 1) // 2 + 1)),
         a_norm_bound=sigma.total_variation,
         epsilon=float(epsilon),
     )

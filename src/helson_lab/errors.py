@@ -19,7 +19,7 @@ class BudgetExceeded(HelsonLabError):
     """An exhaustive search would exceed its stated budget."""
 
 
-class MomentCheckFailed(HelsonLabError):
+class MomentCheckFailed(OutOfRange):
     """A mixing measure violates the moment constraints required of it."""
 
 

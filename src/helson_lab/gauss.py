@@ -74,8 +74,8 @@ class _AtomicModel:
 
     def __post_init__(self):
         _validated_spectrum(self.spectrum)
-        if self.T_len < 1 or self.T_len > 10 ** 7:
-            raise OutOfRange(f"T_len must be in 1..1e7, got {self.T_len}")
+        if not isinstance(self.T_len, (int, np.integer)) or not 1 <= self.T_len <= 10 ** 7:
+            raise OutOfRange(f"T_len must be an integer in 1..1e7, got {self.T_len!r}")
 
     @cached_property
     def _atoms(self) -> Tuple[np.ndarray, np.ndarray, Optional[list]]:

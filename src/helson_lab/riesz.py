@@ -17,7 +17,6 @@ hits 0 only trivially and the two difference sets meet only at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -67,25 +66,20 @@ class RieszProductSpec:
         return d
 
 
-@lru_cache(maxsize=16)
 def _mitm_tables(freqs: Tuple[int, ...]):
-    """Sorted half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
+    """Half-sum tables: ((sums_left, nnz_left), (sums_right, nnz_right)).
 
-    Both come from torus._grid_sums over the signs (0, 1, -1); nnz counts
-    the nonzero signs behind each sum.  The spec is dissociate, so each
-    half's sums are distinct and their sorted order is unique.
+    Both come from torus._grid_sums over the signs (0, 1, -1), in its
+    product order; nnz counts the nonzero signs behind each sum.  The spec
+    is dissociate, so every sum of a left and a right entry is distinct and
+    the readers' sorts of those sums are unique.
     """
     signs = np.array([0, 1, -1], dtype=np.int64)
     half = len(freqs) // 2
-    out = []
-    for part in (freqs[:half], freqs[half:]):
-        sums = _grid_sums([n * signs for n in part])
-        order = np.argsort(sums, kind="stable")
-        table = (sums[order], _grid_sums([np.abs(signs)] * len(part))[order])
-        for arr in table:  # the cache hands these to every caller, on any thread
-            arr.flags.writeable = False
-        out.append(table)
-    return out[0], out[1]
+    return tuple(
+        (_grid_sums([n * signs for n in part]), _grid_sums([np.abs(signs)] * len(part)))
+        for part in (freqs[:half], freqs[half:])
+    )
 
 
 def rigidity_search(spec: RieszProductSpec, g_range: int) -> Tuple[int, float]:

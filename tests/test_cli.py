@@ -128,14 +128,18 @@ def test_drury_sigma_file_validation_failure(tmp_path):
 
 
 def test_drury_from_mela_measure_file_matches_solved(tmp_path):
-    # the measure `mela` writes, passed back by --sigma, gives the same bytes as solving it in the run
+    # the measure `mela` writes, passed back by --sigma on its own or as the
+    # whole mela.json, gives the same bytes as solving it in the run
     assert main(["mela", "--epsilon", "0.01", "--out", str(tmp_path / "mela")]) == 0
-    spath = write_json(tmp_path / "sigma.json", read_json(tmp_path / "mela" / "mela.json")["measure"])
-    runs = {"solved": [], "sigma": ["--sigma", spath]}
+    mpath = str(tmp_path / "mela" / "mela.json")
+    spath = write_json(tmp_path / "sigma.json", read_json(mpath)["measure"])
+    runs = {"solved": [], "sigma": ["--sigma", spath], "mela": ["--sigma", mpath]}
     for name, extra in runs.items():
         argv = ["drury", "--n", "6", "--epsilon", "0.01", *extra, "--out", str(tmp_path / name)]
         assert main(argv) == 0
-    assert (tmp_path / "solved" / "drury.json").read_bytes() == (tmp_path / "sigma" / "drury.json").read_bytes()
+    want = (tmp_path / "solved" / "drury.json").read_bytes()
+    for name in ("sigma", "mela"):
+        assert (tmp_path / name / "drury.json").read_bytes() == want
 
 
 def test_helson_constant_singleton(tmp_path):

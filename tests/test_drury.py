@@ -215,6 +215,22 @@ def test_drury_function_rejects_bad_basis():
         DruryFunction(2, (0.9,), 1.0, 0.1)
 
 
+def test_moment_checks_run_at_construction():
+    # first moment 0.9, or the order-3 (a = 1) and order-5 (a = 2) moments above epsilon
+    for moments, named in (((0.9,), "first moment"), ((1.0, 0.2), "order 3"),
+                           ((1.0, 0.0, -0.3), "order 5")):
+        n = 2 * len(moments) - 1
+        with pytest.raises(MomentCheckFailed, match=named) as exc:
+            DruryFunction(n, moments, 1.0, 0.1)
+        assert isinstance(exc.value, OutOfRange)
+    DruryFunction(3, (1.0 - 5e-9, -0.1 - 5e-9), 1.0, 0.1)  # within both tolerances
+    sigma = SignedGridMeasure.from_atoms([(0.5, 2.0)])  # first moment 1, third 0.25
+    with pytest.raises(MomentCheckFailed, match="order 3"):
+        mix_drury(3, sigma, epsilon=0.1)
+    with pytest.raises(MomentCheckFailed, match="first moment"):
+        mix_drury(2, SignedGridMeasure.from_atoms([(0.25, 2.0)]), epsilon=0.1)
+
+
 def test_drury_function_guards():
     with pytest.raises(OutOfRange):
         DruryFunction(3, (1.0, 0.2), 1.0, 0.1)  # off-basis moment above epsilon

@@ -261,6 +261,15 @@ def test_model_guards():
         G.GaussianModel(spectrum=big, T_len=100, seed=0)
 
 
+def test_model_refuses_non_integer_length():
+    for cls in (G.GaussianModel, G.RandomPhaseModel):
+        for bad in (1000.0, "1000", None):
+            with pytest.raises(OutOfRange):
+                cls(spectrum=SPEC8, T_len=bad, seed=1)
+        x = G.simulate(cls(spectrum=SPEC8, T_len=np.int64(1000), seed=1))
+        assert np.array_equal(x, G.simulate(cls(spectrum=SPEC8, T_len=1000, seed=1)))
+
+
 # -- spectral estimation ----------------------------------------------------
 
 def test_spectral_single_atom_exact_for_random_phase():

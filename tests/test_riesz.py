@@ -118,12 +118,11 @@ def test_tables_from_shared_enumerator_equal_signed_sums(freqs, monkeypatch):
     for got, part in zip(built, parts):
         want = _signed_sums_oracle(part, (-2, -1, 0, 1, 2))
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for (sums, nnz), part in zip(riesz._mitm_tables.__wrapped__(freqs), parts):
+    for (sums, nnz), part in zip(riesz._mitm_tables(freqs), parts):
         want = _signed_sums_oracle(part, (0, 1, -1))
-        order = np.argsort(want, kind="stable")
-        want_nnz = _signed_sums_oracle((1,) * len(part), (0, 1, 1))[order]
+        want_nnz = _signed_sums_oracle((1,) * len(part), (0, 1, 1))
         assert sums.dtype == nnz.dtype == np.int64
-        assert np.array_equal(sums, want[order]) and np.array_equal(nnz, want_nnz)
+        assert np.array_equal(sums, want) and np.array_equal(nnz, want_nnz)
 
 
 # ---------------------------------------------------------------------------
